@@ -32,6 +32,7 @@ from .protocol import (
     pad_posterior,
     predict_success_rate,
     recover_pad,
+    recover_pads,
 )
 from .simulate import (
     RoundResult,
@@ -89,6 +90,7 @@ __all__ = [
     "persistence",
     "predict_success_rate",
     "recover_pad",
+    "recover_pads",
     "run_experiment",
     "run_round",
     "run_simulation",

@@ -135,7 +135,7 @@ def _cmd_experiment(args) -> int:
     if args.seed is not None:
         sc = simulate.scenario_from_dict({**cfg, "seed": args.seed})
     sweep = simulate.sweep_from_dict(cfg)
-    workers = args.workers if args.workers is not None else int(cfg.get("workers", 1))
+    workers = args.workers if args.workers is not None else cfg.get("workers", 1)
     rows = simulate.run_experiment(sc, sweep, workers=workers)
     md = _metadata(args, {"config_hash": simulate.config_hash(simulate.scenario_to_dict(sc))})
     md["seed"] = sc.seed

@@ -35,10 +35,10 @@ def xi_profile(subset: PadSubset) -> np.ndarray:
     Returns
     -------
     numpy.ndarray
-        Shape (length,) float vector; 0.5 everywhere for complement-closed
-        subsets.
+        Shape (length,) read-only float vector, cached on the subset; 0.5
+        everywhere for complement-closed subsets.
     """
-    return 1.0 - subset.pads.mean(axis=0)
+    return subset.xi
 
 
 def _report_one(profile: DetectorProfile, channel: int) -> np.ndarray:

@@ -26,7 +26,7 @@ When block_length does not divide M, blocks are laid out on a virtual report
 of length padded_length = block_length * num_blocks whose tail repeats the
 leading report bits.  Pads are truncated back to M bits; a receiver that
 replays the tail convention finds that each virtual tail vote reduces to the
-vote on the leading position it mirrors, so `recover_pad` simply counts the
+vote on the leading position it mirrors, so `recover_pads` simply counts the
 leading padded_length - M positions twice.  The final partial block is then
 decided by its surviving M mod block_length real positions.
 
@@ -35,6 +35,7 @@ Binary vectors are numpy uint8 arrays (see bits.py).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -46,6 +47,9 @@ from .spectrum import DetectorProfile
 # generate_subset materializes all 2**num_blocks pads; block counts past this
 # would not fit in memory and the large-M experiments use pair subsets anyway.
 MAX_BLOCKS = 16
+
+# entries per float temporary (signed targets, scores) in `recover_pads`
+SCORE_CHUNK = 2 ** 15
 
 
 def generate_pad(length: int, rng: np.random.Generator) -> np.ndarray:
@@ -64,8 +68,8 @@ class PadSubset:
     """Public pad subset plus its block geometry.
 
     Attributes:
-        pads: uint8 array of shape (size, length), rows distinct and in
-            canonical sorted order.
+        pads: read-only uint8 array of shape (size, length), rows distinct
+            and in canonical sorted order.
         block_length: vote-block width the subset was built for.
         num_blocks: number of blocks; block_length * num_blocks is the
             virtual (padded) report length, >= length.
@@ -90,6 +94,8 @@ class PadSubset:
         pads = _sort_rows(pads)
         if pads.shape[0] > 1 and (pads[1:] == pads[:-1]).all(axis=1).any():
             raise ValueError("subset pads must be distinct")
+        # derived arrays below are cached on first use, so the pads must not change
+        pads.flags.writeable = False
         object.__setattr__(self, "pads", pads)
         object.__setattr__(self, "block_length", int(block_length))
         object.__setattr__(self, "num_blocks", int(num_blocks))
@@ -115,6 +121,22 @@ class PadSubset:
         lo = block * self.block_length
         hi = min(lo + self.block_length, self.length)
         return np.arange(lo, hi)
+
+    @functools.cached_property
+    def xi(self) -> np.ndarray:
+        """Read-only (length,) probability that a uniformly drawn pad bit is
+        zero, per position."""
+        xi = 1.0 - self.pads.mean(axis=0)
+        xi.flags.writeable = False
+        return xi
+
+    @functools.cached_property
+    def _unit_vote(self) -> tuple[np.ndarray, np.ndarray]:
+        """Unit vote weights and the (length, size) table of 2*pad - 1.
+        Unit scores are integers of magnitude <= padded_length, which
+        float32 holds exactly below 2**24."""
+        dtype = np.float32 if self.padded_length < 2 ** 24 else np.float64
+        return _vote_weights(self, None).astype(dtype), _signed(self.pads.T, dtype)
 
 
 def is_secure_pair_closed(subset: PadSubset) -> bool:
@@ -234,6 +256,75 @@ def _vote_weights(subset: PadSubset, eta: np.ndarray | None) -> np.ndarray:
     return w
 
 
+def _signed(bits: np.ndarray, dtype) -> np.ndarray:
+    """Map bits {0, 1} to {-1, +1}."""
+    out = bits.astype(dtype)
+    out *= 2
+    out -= 1
+    return out
+
+
+def recover_pads(
+    own_reports: np.ndarray,
+    ciphertexts: np.ndarray,
+    subset: PadSubset,
+    rng: np.random.Generator,
+    eta: np.ndarray | None = None,
+) -> np.ndarray:
+    """Known-plaintext pad recovery by weighted voting, one row per
+    (receiver, sender) pair.
+
+    For row k, each candidate pad scores one vote per position where it
+    agrees with own_reports[k] xor ciphertexts[k]; the best-scoring pad
+    wins.  Ties are broken row by row, in row order, with
+    `rng.choice(tied pad indices)`; rows without a tie draw nothing.  With
+    `eta` given, votes are weighted by the per-channel log odds
+    log(eta/(1-eta)) instead of counted.
+
+    Writing the target bits t and pad bits p as signs 2t-1 and 2p-1, the
+    weighted agreement is (sum(w) + sum(w * (2t-1) * (2p-1))) / 2, so every
+    row's scores come from one matrix product against the subset's signed
+    pads.  Unit-weight scores are exact integers in float32; with `eta` the
+    product runs in float64.
+
+    Args:
+        own_reports: (K, M) receivers' own sensing reports for the slot.
+        ciphertexts: (K, M) senders' published ciphertexts.
+        subset: the public pad subset every sender drew from.
+        rng: tie-break source.
+        eta: optional per-channel agreement probabilities in (0, 1).
+
+    Returns:
+        (K, M) array of winning pads (a new array).
+    """
+    own = np.asarray(own_reports, dtype=np.uint8)
+    cipher = np.asarray(ciphertexts, dtype=np.uint8)
+    if own.ndim != 2 or own.shape != cipher.shape or own.shape[1] != subset.length:
+        raise ValueError(
+            f"own_reports {own.shape} and ciphertexts {cipher.shape} must both have "
+            f"shape (K, {subset.length})"
+        )
+    if np.bitwise_or(own, cipher).max(initial=0) > 1:
+        raise ValueError("report and ciphertext entries must be 0 or 1")
+    if eta is None:
+        weights, signed_pads = subset._unit_vote
+    else:
+        weights = _vote_weights(subset, eta)
+        signed_pads = _signed(subset.pads.T, np.float64)
+    targets = np.bitwise_xor(own, cipher).view(bool)
+    picks = np.empty(targets.shape[0], dtype=np.intp)
+    step = max(1, SCORE_CHUNK // max(subset.size, subset.length))
+    for lo in range(0, targets.shape[0], step):
+        scores = np.where(targets[lo:lo + step], weights, -weights) @ signed_pads
+        top = scores == scores.max(axis=1, keepdims=True)
+        picks[lo:lo + step] = top.argmax(axis=1)
+        if np.count_nonzero(top) == top.shape[0]:
+            continue  # one best pad per row: nothing to break
+        for k in np.flatnonzero(top.sum(axis=1) > 1):
+            picks[lo + k] = rng.choice(np.flatnonzero(top[k]))
+    return subset.pads[picks]
+
+
 def recover_pad(
     own_report: np.ndarray,
     ciphertext: np.ndarray,
@@ -241,37 +332,12 @@ def recover_pad(
     rng: np.random.Generator,
     eta: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Known-plaintext pad recovery by weighted voting.
-
-    Each candidate pad scores one vote per position where it agrees with
-    own_report xor ciphertext; the best-scoring pad wins, ties broken
-    uniformly at random.  With `eta` given, votes are weighted by the
-    per-channel log odds log(eta/(1-eta)) instead of counted.
-
-    Args:
-        own_report: the receiver's own sensing report for the same slot.
-        ciphertext: the sender's published ciphertext.
-        subset: the public pad subset the sender drew from.
-        rng: tie-break source.
-        eta: optional per-channel agreement probabilities in (0, 1).
+    """`recover_pads` for a single (own_report, ciphertext) pair.
 
     Returns:
         The winning pad (copy, length M).
     """
-    own_report = as_bits(own_report)
-    ciphertext = as_bits(ciphertext)
-    if own_report.size != subset.length or ciphertext.size != subset.length:
-        raise ValueError(
-            f"report/ciphertext lengths ({own_report.size}, {ciphertext.size}) "
-            f"must equal subset length {subset.length}"
-        )
-    target = np.bitwise_xor(own_report, ciphertext)
-    agree = subset.pads == target
-    scores = agree @ _vote_weights(subset, eta)
-    best = scores.max()
-    winners = np.flatnonzero(scores == best)
-    pick = winners[0] if winners.size == 1 else rng.choice(winners)
-    return subset.pads[pick].copy()
+    return recover_pads(as_bits(own_report)[None], as_bits(ciphertext)[None], subset, rng, eta)[0]
 
 
 def pad_posterior(
@@ -284,7 +350,7 @@ def pad_posterior(
 
     Product over positions of eta_i when candidate_i == own_i xor cipher_i
     and 1 - eta_i otherwise.  Maximized over all binary vectors by
-    own_report xor ciphertext whenever every eta_i > 1/2; `recover_pad`
+    own_report xor ciphertext whenever every eta_i > 1/2; `recover_pads`
     restricts that maximization to the subset.
     """
     own_report = as_bits(own_report)
@@ -334,7 +400,7 @@ def predict_success_rate(block_length: int, eta) -> float:
 
     The number of agreeing positions is Poisson binomial over the block's
     eta values; success is at least ceil(n/2) agreements (exact ties, which
-    only exist for even n, are counted as success here; `recover_pad`
+    only exist for even n, are counted as success here; `recover_pads`
     resolves them by coin flip, which is why block sizing sticks to odd n).
 
     Args:

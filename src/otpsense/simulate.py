@@ -97,8 +97,15 @@ class Scenario:
             raise ValueError("selfish_role must be an attacker role")
         if self.pairs is None and self.phi is None and self.p_target is None:
             raise ValueError("one of pairs/phi/p_target must be set")
-        if self.fusion_threshold is not None and self.fusion_threshold < 1:
-            raise ValueError("fusion_threshold must be >= 1")
+        # each honest receiver fuses one report per other user, plus its own
+        reports = len(self.users) - 1 + int(self.include_self)
+        if reports < 1:
+            raise ValueError("a lone user with include_self=false has no report to fuse")
+        if self.fusion_threshold is not None and not 1 <= self.fusion_threshold <= reports:
+            raise ValueError(
+                f"fusion_threshold must lie in [1, {reports}] (the reports each user fuses), "
+                f"got {self.fusion_threshold}"
+            )
         for u in self.users:
             if u.role == "pes" and not 0 <= u.sensed_channels <= self.num_channels:
                 raise ValueError("pes sensed_channels must lie in [0, num_channels]")
@@ -142,7 +149,6 @@ class RoundResult:
     reports: np.ndarray
     ciphertexts: np.ndarray
     pads: np.ndarray | None
-    deliveries: np.ndarray
     recovery_success: np.ndarray | None  # (N, N) float, NaN where not attempted
     decisions: dict[int, np.ndarray]     # honest user index -> fused vector
     decision: np.ndarray                 # designated recipient's fused vector
@@ -193,8 +199,9 @@ def run_round(
 
     Phase order: channel evolution, sensing, publication (honest and
     stale-report users first, copiers second), attack measurement against
-    the designated target, full-mesh delivery accounting, recovery and
-    decryption by every honest user, per-user fusion.
+    the designated target, full-mesh exchange, recovery and decryption of
+    every (honest receiver, sender) pair in one `protocol.recover_pads`
+    call, per-user fusion.
     """
     n = len(sc.users)
     m = sc.num_channels
@@ -293,30 +300,34 @@ def run_round(
                     streams.attacker, true_pad=pads[target],
                 )
 
-    # phase 4: full-mesh exchange accounting
-    deliveries = np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64)
+    # phase 4: full-mesh exchange, every honest user receiving from every
+    # other user; pairs run receiver-major, then sender, which is the order
+    # tie-breaks are drawn from streams.ties
+    honest = np.asarray(honest_idx)
+    pair_h, senders = np.nonzero(honest[:, None] != np.arange(n))
+    receivers = honest[pair_h]
+    received = ciphertexts[senders]
 
-    # phase 5: recovery + decryption by every honest user; phase 6: fusion
-    recovery = np.full((n, n), np.nan) if sc.encrypted else None
+    # phase 5: recovery + decryption of every pair in one kernel call
+    recovery = None
+    if sc.encrypted:
+        got = protocol.recover_pads(reports[receivers], received, subset, streams.ties)
+        received ^= got
+        known = pad_known[senders]
+        recovery = np.full((n, n), np.nan)
+        recovery[receivers[known], senders[known]] = (got[known] == pads[senders[known]]).all(axis=1)
+    plain = received.reshape(len(honest_idx), n - 1, m)
+
+    # phase 6: per-user fusion
     decisions: dict[int, np.ndarray] = {}
-    for r in honest_idx:
-        rows = [reports[r]] if sc.include_self else []
-        for s in range(n):
-            if s == r:
-                continue
-            if sc.encrypted:
-                pad = protocol.recover_pad(reports[r], ciphertexts[s], subset, streams.ties)
-                if pad_known[s]:
-                    recovery[r, s] = float(np.array_equal(pad, pads[s]))
-                rows.append(protocol.decrypt(ciphertexts[s], pad))
-            else:
-                rows.append(ciphertexts[s])
+    for h, r in enumerate(honest_idx):
+        rows = np.concatenate([reports[r][None], plain[h]]) if sc.include_self else plain[h]
         rule = (
             fusion.FusionRule(sc.fusion_threshold, len(rows))
             if sc.fusion_threshold is not None
             else fusion.FusionRule.majority(len(rows))
         )
-        decisions[r] = fusion.fuse(np.stack(rows), rule)
+        decisions[r] = fusion.fuse(rows, rule)
 
     state.truth = truth
     state.prev_reports = {i: sensed[i] for i, u in enumerate(sc.users) if u.role == "history"}
@@ -327,7 +338,6 @@ def run_round(
         reports=reports,
         ciphertexts=ciphertexts,
         pads=pads,
-        deliveries=deliveries,
         recovery_success=recovery,
         decisions=decisions,
         decision=decisions[target],
@@ -479,14 +489,8 @@ def _point_seed(master_seed: int, index: int) -> int:
 
 
 def _run_point(args) -> dict:
-    sc, sweep_names, assignment, index = args
-    point = apply_sweep(sc, assignment)
-    point = replace(point, seed=_point_seed(sc.seed, index))
-    summary = run_simulation(point)
-    row = {name: assignment[name] for name in sweep_names}
-    row["point"] = index
-    row.update(summary.row())
-    return row
+    point, row = args
+    return {**row, **run_simulation(point).row()}
 
 
 def run_experiment(
@@ -497,7 +501,9 @@ def run_experiment(
     """Cross-product sweep over one or two parameters.
 
     Every point runs `run_simulation` on a seed derived from (scenario seed,
-    point index), so results are reproducible and independent of `workers`.
+    point index), so results are reproducible and independent of `workers`
+    (at least 1; more than the point count runs one process per point).
+    Every point's scenario is built, and so checked, before any point runs.
     Rows come back in point order.
     """
     if not 1 <= len(sweep) <= 2:
@@ -510,12 +516,18 @@ def run_experiment(
             raise ValueError(f"unknown sweep parameter {name!r}, expected one of {SWEEPABLE}")
         if not values:
             raise ValueError(f"sweep parameter {name!r} has no values")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
 
     assignments = [{names[0]: v} for v in sweep[0][1]]
     if len(sweep) == 2:
         assignments = [dict(a, **{names[1]: v}) for a in assignments for v in sweep[1][1]]
-    tasks = [(sc, names, a, i) for i, a in enumerate(assignments)]
+    tasks = [
+        (replace(apply_sweep(sc, a), seed=_point_seed(sc.seed, i)), {**a, "point": i})
+        for i, a in enumerate(assignments)
+    ]
 
+    workers = min(workers, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_point, tasks))
@@ -555,23 +567,80 @@ def _plain(v):
     return v
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_numbers(v) -> bool:
+    return _is_number(v) or (isinstance(v, list) and all(_is_number(x) for x in v))
+
+
+def _or_null(check):
+    return lambda v: v is None or check(v)
+
+
+# JSON type of every config key but "sweep": (check, what the error asks for)
+_INT = (_is_int, "an integer")
+_NUMBER = (_is_number, "a number")
+_NUMBERS = (_is_numbers, "a number or a list of numbers")
+_BOOL = (lambda v: isinstance(v, bool), "true or false")
+_STRING = (lambda v: isinstance(v, str), "a string")
+_CONFIG_TYPES = {
+    "num_channels": _INT,
+    "rate_on": _NUMBERS,
+    "rate_off": _NUMBERS,
+    "slot_period": _NUMBER,
+    "users": (lambda v: isinstance(v, list), "a list of user objects"),
+    "pairs": (_or_null(_is_int), "an integer or null"),
+    "phi": (_or_null(_is_int), "an integer or null"),
+    "p_target": (_or_null(_is_number), "a number or null"),
+    "omega": _NUMBER,
+    "fusion_threshold": (_or_null(_is_int), "an integer or null"),
+    "include_self": _BOOL,
+    "rounds": _INT,
+    "seed": _INT,
+    "encrypted": _BOOL,
+    "ees_modification": _NUMBER,
+    "ees_copy_previous_round": _BOOL,
+    "selfish_role": _STRING,
+    "workers": _INT,
+}
+_USER_TYPES = {
+    "role": _STRING,
+    "false_alarm": _NUMBERS,
+    "miss": _NUMBERS,
+    "sensed_channels": _INT,
+}
+
+
+def _check_types(d: dict, types: dict, where: str) -> None:
+    bad = set(d) - set(types)
+    if bad:
+        raise ValueError(f"{where} has unknown keys: {sorted(bad)}")
+    for key, value in d.items():
+        check, expected = types[key]
+        if not check(value):
+            raise ValueError(f"{where} key {key!r} must be {expected}, got {value!r}")
+
+
 def scenario_from_dict(d: dict) -> Scenario:
-    """Build a Scenario from parsed JSON, rejecting unknown keys."""
+    """Build a Scenario from parsed JSON, rejecting unknown keys and values
+    of the wrong JSON type."""
     if not isinstance(d, dict):
         raise ValueError("config must be a JSON object")
+    _check_types({k: v for k, v in d.items() if k != "sweep"}, _CONFIG_TYPES, "config")
     known = {f.name for f in fields(Scenario)}
-    extra = set(d) - known - {"sweep", "workers"}
-    if extra:
-        raise ValueError(f"unknown config keys: {sorted(extra)}")
     kwargs = {k: v for k, v in d.items() if k in known}
     if "users" in kwargs:
         specs = []
         for i, u in enumerate(kwargs["users"]):
             if not isinstance(u, dict):
                 raise ValueError(f"users[{i}] must be an object")
-            bad = set(u) - {"role", "false_alarm", "miss", "sensed_channels"}
-            if bad:
-                raise ValueError(f"users[{i}] has unknown keys: {sorted(bad)}")
+            _check_types(u, _USER_TYPES, f"users[{i}]")
             u = {k: tuple(v) if isinstance(v, list) else v for k, v in u.items()}
             specs.append(UserSpec(**u))
         kwargs["users"] = tuple(specs)
@@ -588,11 +657,19 @@ def sweep_from_dict(d: dict) -> list[tuple[str, list]]:
         raise ValueError('experiment config needs a "sweep" entry')
     if isinstance(raw, dict):
         raw = [raw]
+    if not isinstance(raw, list):
+        raise ValueError('"sweep" must be an object or a list of objects')
     out = []
     for i, entry in enumerate(raw):
-        if not isinstance(entry, dict) or set(entry) != {"param", "values"}:
-            raise ValueError(f'sweep[{i}] must be {{"param": ..., "values": [...]}}')
-        out.append((entry["param"], list(entry["values"])))
+        if (
+            not isinstance(entry, dict)
+            or set(entry) != {"param", "values"}
+            or not isinstance(entry["param"], str)
+            or not isinstance(entry["values"], list)
+            or not all(_is_number(v) for v in entry["values"])
+        ):
+            raise ValueError(f'sweep[{i}] must be {{"param": "<name>", "values": [numbers]}}')
+        out.append((entry["param"], entry["values"]))
     return out
 
 

@@ -25,6 +25,7 @@ from otpsense.protocol import (
     pad_posterior,
     predict_success_rate,
     recover_pad,
+    recover_pads,
 )
 from otpsense.adversary import pes_act
 from otpsense.simulate import Scenario, UserSpec, run_experiment, run_simulation
@@ -49,12 +50,20 @@ def _random_closed_subset(rng: np.random.Generator) -> PadSubset:
 
 def _mc_success_rate(m, eta, trials, rng, pairs=1):
     """Monte Carlo pad recovery rate between two users whose reports agree
-    per channel with probability eta; fresh subset per trial."""
+    per channel with probability eta.  One pair subset serves every trial,
+    drawn as arrays and recovered in one `recover_pads` call; with pairs > 1
+    each trial draws a fresh subset and recovers alone."""
+    if pairs == 1:
+        sub = generate_pairs(m, pairs, rng)
+        sender = (rng.random((trials, m)) < 0.5).astype(np.uint8)
+        pad = sub.pads[rng.integers(sub.size, size=trials)]
+        cipher = np.bitwise_xor(sender, pad)
+        own = np.bitwise_xor(sender, (rng.random((trials, m)) >= eta).astype(np.uint8))
+        hits = (recover_pads(own, cipher, sub, rng) == pad).all(axis=1)
+        return int(hits.sum()) / trials
     hits = 0
-    sub = generate_pairs(m, pairs, rng) if pairs == 1 else None
     for _ in range(trials):
-        if pairs != 1:
-            sub = generate_pairs(m, pairs, rng)
+        sub = generate_pairs(m, pairs, rng)
         sender = (rng.random(m) < 0.5).astype(np.uint8)
         pad = sub.pads[rng.integers(sub.size)]
         cipher = np.bitwise_xor(sender, pad)

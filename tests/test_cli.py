@@ -165,3 +165,36 @@ def test_experiment_requires_sweep_entry(tmp_path, capsys):
                                           {"role": "honest"}]}))
     code, _, err = run_cli(capsys, "experiment", "--config", str(path))
     assert code == 1 and "sweep" in err
+
+
+def _honest(n):
+    return [{"role": "honest"}] * n
+
+
+@pytest.mark.parametrize("cfg,word", [
+    ({"rounds": "10"}, "rounds"),
+    ({"users": [{"role": "honest", "miss": "low"}]}, "miss"),
+    ({"users": _honest(3), "fusion_threshold": 4}, "fusion_threshold"),
+])
+def test_simulate_rejects_bad_config_values(tmp_path, capsys, cfg, word):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and word in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag,config_workers", [("0", None), ("-3", None), (None, 0)])
+def test_experiment_rejects_workers_below_one(tmp_path, capsys, flag, config_workers):
+    cfg = {"num_channels": 8, "rounds": 2, "users": _honest(3),
+           "sweep": [{"param": "pairs", "values": [1, 2]}]}
+    if config_workers is not None:
+        cfg["workers"] = config_workers
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(cfg))
+    argv = ["experiment", "--config", str(path)]
+    if flag is not None:
+        argv += ["--workers", flag]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "workers" in err

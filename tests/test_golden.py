@@ -1,0 +1,83 @@
+"""Byte identity of fixed-seed simulation results.
+
+Each digest pins everything a `run_simulation` summary reports for one
+scenario.  The scenarios lean on vote ties (even block widths, single pairs
+over an even band, widths that leave a virtual tail) and on every attacker
+role, because those are the paths where a change in how random numbers are
+drawn would show.  A digest that moves means a fixed config and seed no
+longer reproduce their results; a deliberate change must say why in
+CHANGES.md.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from otpsense.simulate import Scenario, UserSpec, run_simulation
+
+HONEST = UserSpec()
+
+SCENARIOS = {
+    "phi10_even_width": Scenario(num_channels=30, users=(HONEST,) * 4, pairs=None, phi=10,
+                                 rounds=40, seed=1),
+    "phi6_tail": Scenario(num_channels=20, users=(HONEST,) * 5, pairs=None, phi=6,
+                          rounds=40, seed=2),
+    "phi2_tail": Scenario(num_channels=7, users=(HONEST,) * 4, pairs=None, phi=2,
+                          rounds=40, seed=3),
+    "pairs4_m6": Scenario(num_channels=6, users=(HONEST,) * 4, pairs=4, rounds=40, seed=4),
+    "pairs1_even_band": Scenario(num_channels=10, users=(HONEST,) * 6, pairs=1,
+                                 rounds=40, seed=5),
+    "attackers": Scenario(
+        num_channels=23,
+        users=(HONEST,) * 3 + (
+            UserSpec(role="pes", sensed_channels=10),
+            UserSpec(role="ees"),
+            UserSpec(role="history"),
+        ),
+        pairs=None, phi=5, rounds=40, seed=6,
+    ),
+    "ees_previous_round": Scenario(
+        num_channels=12, users=(HONEST,) * 3 + (UserSpec(role="ees"),) * 2,
+        pairs=None, phi=4, rounds=40, seed=7,
+        ees_copy_previous_round=True, ees_modification=0.2,
+    ),
+    "p_target_omega": Scenario(num_channels=25, users=(HONEST,) * 4, p_target=0.9,
+                               omega=1.5, rounds=40, seed=8),
+    "threshold_no_self": Scenario(num_channels=10, users=(HONEST,) * 4, pairs=None, phi=3,
+                                  rounds=40, seed=9, include_self=False, fusion_threshold=2),
+    "plaintext": Scenario(num_channels=16, users=(HONEST,) * 4 + (UserSpec(role="ees"),),
+                          pairs=1, rounds=40, seed=10, encrypted=False),
+}
+
+# recorded from the scalar per-pair recovery loop
+DIGESTS = {
+    "attackers": "f2b5f6998ce2060f96e6747984ce92cf19cafa0f6473e4a9d6f961f8edd1c633",
+    "ees_previous_round": "09d8c107acb91c459ebc5f1f7cc9834b4e24962680f4adfaa1c558a728b696ec",
+    "p_target_omega": "303ecc97f6dd59a722469562f3b1269af0c183ece492ec6abcd781b2d23ffed6",
+    "pairs1_even_band": "9e1c127ac33b367b74ea509677ceadebf45e2bfde10d390196cbdf41be61bd52",
+    "pairs4_m6": "a766067ee5bf3fb018ce6262b44ebef44de14d084a9ef879c6417271fb4917d2",
+    "phi10_even_width": "fe29f9e5706a8609bbd388c52bfc69904af6f48801f72281dc828831396f255c",
+    "phi2_tail": "92a0727192253cfd78808948b4e553c0a6cf2692a94c48cc184eb4f52b74cb07",
+    "phi6_tail": "e44880a695a2273d77c5d47a53289297c0f623784e5afc82c19e8f5ae7c78554",
+    "plaintext": "0d332f0f355a12fb5259d23d7df998592caa8d7c9a97c045e08c43bbaa642785",
+    "threshold_no_self": "c2793a152adb5babd9be204c8512aa6beee78af9ebea6faaba12d2c0e8a2bf67",
+}
+
+
+def summary_digest(sc: Scenario) -> str:
+    s = run_simulation(sc)
+    m = s.metrics
+    blob = {
+        "row": s.row(),
+        "attacker_success": s.attacker_success,
+        "attacker_attempts": s.attacker_attempts,
+        "ees_contingency": s.ees_contingency.tolist(),
+        "metrics": [a.tolist() for a in (m.false_alarms, m.idle_slots, m.misses, m.busy_slots)],
+    }
+    return hashlib.sha256(json.dumps(blob, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_fixed_seed_summary_is_byte_identical(name):
+    assert summary_digest(SCENARIOS[name]) == DIGESTS[name]

@@ -11,9 +11,12 @@ import math
 import numpy as np
 import pytest
 
-from otpsense.bits import complement
+from otpsense import protocol
+from otpsense.bits import as_bits, complement
+from otpsense.leakage import xi_profile
 from otpsense.protocol import (
     MAX_BLOCKS,
+    SCORE_CHUNK,
     PadSubset,
     agreement_probability,
     decrypt,
@@ -26,8 +29,26 @@ from otpsense.protocol import (
     pad_posterior,
     predict_success_rate,
     recover_pad,
+    recover_pads,
 )
 from otpsense.spectrum import DetectorProfile
+
+
+def scalar_recover_pad(own_report, ciphertext, subset, rng, eta=None):
+    """Oracle: score every pad of the subset against one target, one pair
+    per call (weighted agreement count, leading positions mirrored by the
+    virtual tail counted twice, ties broken by rng.choice)."""
+    target = np.bitwise_xor(as_bits(own_report), as_bits(ciphertext))
+    if eta is None:
+        w = np.ones(subset.length)
+    else:
+        eta = np.asarray(eta, dtype=float)
+        w = np.log(eta / (1.0 - eta))
+    w[:subset.padded_length - subset.length] *= 2.0
+    scores = (subset.pads == target) @ w
+    winners = np.flatnonzero(scores == scores.max())
+    pick = winners[0] if winners.size == 1 else rng.choice(winners)
+    return subset.pads[pick].copy(), scores
 
 
 def enumerate_success_rate(eta):
@@ -222,6 +243,97 @@ def test_recover_weighted_matches_posterior_argmax():
             continue  # skipping ambiguous draws; tie break is random by design
         got = recover_pad(own, cipher, sub, rng, eta=eta)
         assert np.array_equal(got, sub.pads[best[0]])
+
+
+def oracle_subsets(rng):
+    """Block subsets of odd, even (tied) and non-dividing widths, pair
+    subsets, and hand-built ones without block structure."""
+    subsets = [
+        PadSubset([[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]]),  # parity set
+        PadSubset([[0, 1, 1, 0]]),
+        PadSubset(list(itertools.product((0, 1), repeat=3))),  # every pad
+        PadSubset([[0, 0, 1, 1, 0], [1, 1, 0, 0, 1], [0, 1, 0, 1, 1]], 2, 3),
+    ]
+    for m, phi in ((9, 3), (10, 2), (12, 6), (7, 2), (11, 4), (13, 5), (6, 6), (5, 1)):
+        subsets.append(generate_subset(m, phi, rng))
+    for _ in range(12):
+        m = int(rng.integers(1, 15))
+        subsets.append(generate_subset(m, int(rng.integers(1, m + 1)), rng))
+    for m, pairs in ((6, 4), (10, 1), (9, 1), (3, 2), (20, 5)):
+        subsets.append(generate_pairs(m, pairs, rng))
+    return subsets
+
+
+@pytest.mark.parametrize("chunk", [SCORE_CHUNK, 40])
+def test_recover_pads_matches_scalar_oracle(chunk, monkeypatch):
+    monkeypatch.setattr(protocol, "SCORE_CHUNK", chunk)
+    rng = np.random.default_rng(16)
+    tied_rows = 0
+    for i, sub in enumerate(oracle_subsets(rng)):
+        k = int(rng.integers(1, 120))
+        own = (rng.random((k, sub.length)) < 0.5).astype(np.uint8)
+        cipher = (rng.random((k, sub.length)) < 0.5).astype(np.uint8)
+        ref_rng, new_rng = np.random.default_rng(i), np.random.default_rng(i)
+        want = []
+        for o, c in zip(own, cipher):
+            pad, scores = scalar_recover_pad(o, c, sub, ref_rng)
+            want.append(pad)
+            tied_rows += (scores == scores.max()).sum() > 1
+        got = recover_pads(own, cipher, sub, new_rng)
+        assert got.shape == (k, sub.length)
+        assert np.array_equal(got, np.stack(want)), i
+        assert new_rng.bit_generator.state == ref_rng.bit_generator.state, i
+    assert tied_rows > 100  # the tie-break order is really exercised
+
+
+def test_recover_pads_weighted_matches_scalar_oracle():
+    # log-odds scores are summed in another order, so only rows whose best
+    # pad beats the runner-up by more than rounding can be compared
+    rng = np.random.default_rng(17)
+    compared = 0
+    for i, sub in enumerate(oracle_subsets(rng)):
+        if sub.size == 1:
+            continue
+        k = int(rng.integers(1, 120))
+        eta = rng.uniform(0.55, 0.95, sub.length)
+        own = (rng.random((k, sub.length)) < 0.5).astype(np.uint8)
+        cipher = (rng.random((k, sub.length)) < 0.5).astype(np.uint8)
+        got = recover_pads(own, cipher, sub, np.random.default_rng(i), eta=eta)
+        w = np.log(eta / (1 - eta))
+        w[:sub.padded_length - sub.length] *= 2
+        total = w.sum()
+        for row, o, c in zip(got, own, cipher):
+            pad, scores = scalar_recover_pad(o, c, sub, rng, eta=eta)
+            best, runner_up = np.sort(scores)[-1:-3:-1]
+            if best - runner_up > 1e-9 * total:
+                compared += 1
+                assert np.array_equal(row, pad), i
+    assert compared > 500
+
+
+def test_recover_pads_validation():
+    sub = generate_pairs(4, 1, np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    zeros = np.zeros((2, 4), dtype=np.uint8)
+    assert recover_pads(zeros[:0], zeros[:0], sub, rng).shape == (0, 4)
+    with pytest.raises(ValueError):
+        recover_pads(zeros, zeros[:1], sub, rng)
+    with pytest.raises(ValueError):
+        recover_pads(zeros[:, :3], zeros[:, :3], sub, rng)
+    with pytest.raises(ValueError):
+        recover_pads(zeros[0], zeros[0], sub, rng)  # one row needs shape (1, M)
+    with pytest.raises(ValueError):
+        recover_pads(zeros + 2, zeros, sub, rng)
+
+
+def test_subset_pads_read_only_and_derived_arrays_lazy():
+    sub = generate_subset(12, 5, np.random.default_rng(18))
+    with pytest.raises(ValueError):
+        sub.pads[0, 0] ^= 1
+    assert "xi" not in vars(sub) and "_unit_vote" not in vars(sub)
+    xi = xi_profile(sub)
+    assert xi is xi_profile(sub) and not xi.flags.writeable
+    assert np.array_equal(xi, 1.0 - sub.pads.mean(axis=0))
 
 
 def test_recover_validation():

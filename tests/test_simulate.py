@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from otpsense import simulate
 from otpsense.simulate import (
     Scenario,
     UserSpec,
@@ -54,6 +56,14 @@ def test_scenario_validation():
         small_scenario(pairs=None, phi=None, p_target=None)
     with pytest.raises(ValueError):
         small_scenario(fusion_threshold=0)
+    # three users each fuse their own report and two received ones
+    assert small_scenario(fusion_threshold=3).fusion_threshold == 3
+    with pytest.raises(ValueError, match="fusion_threshold"):
+        small_scenario(fusion_threshold=4)
+    with pytest.raises(ValueError, match="fusion_threshold"):
+        small_scenario(fusion_threshold=3, include_self=False)
+    with pytest.raises(ValueError):
+        small_scenario(users=(UserSpec(),), include_self=False)
     with pytest.raises(ValueError):
         small_scenario(users=(UserSpec(), UserSpec(role="pes", sensed_channels=99)))
     with pytest.raises(ValueError):
@@ -109,9 +119,6 @@ def test_round_shapes_and_full_mesh():
     assert rr.truth.shape == (m,)
     assert rr.reports.shape == (n, m) and rr.ciphertexts.shape == (n, m)
     assert rr.pads.shape == (n, m)
-    # everyone forwards to everyone else exactly once
-    assert rr.deliveries.sum() == n * (n - 1)
-    assert np.array_equal(rr.deliveries, 1 - np.eye(n, dtype=np.int64))
     assert set(rr.decisions) == {0, 1, 2}
     assert np.array_equal(rr.decision, rr.decisions[0])
 
@@ -267,6 +274,40 @@ def test_run_experiment_validation():
         run_experiment(sc, [("bandwidth", [1])])
     with pytest.raises(ValueError):
         run_experiment(sc, [("pairs", [])])
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers"):
+            run_experiment(sc, [("pairs", [1])], workers=workers)
+
+
+def test_run_experiment_rejects_a_bad_point_before_running_any(monkeypatch):
+    ran = []
+    monkeypatch.setattr(simulate, "run_simulation", lambda sc: ran.append(sc))
+    with pytest.raises(ValueError, match="selfish"):
+        run_experiment(small_scenario(), [("selfish", [0, 1, 3])])
+    assert ran == []
+
+
+def test_run_experiment_clamps_workers_to_points(monkeypatch):
+    pools = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", InlinePool)
+    sc = small_scenario(rounds=4)
+    sweep = [("pairs", [1, 2])]
+    assert run_experiment(sc, sweep, workers=8) == run_experiment(sc, sweep, workers=1)
+    assert pools == [2]
 
 
 def test_point_seeds_differ_across_points():
@@ -303,6 +344,52 @@ def test_scenario_from_dict_rejects_unknown_keys():
     assert sc.rounds == 3
 
 
+def test_scenario_from_dict_rejects_wrong_json_types():
+    for bad in (
+        {"rounds": "10"},
+        {"rounds": True},
+        {"rounds": 2.5},
+        {"encrypted": 1},
+        {"pairs": "1"},
+        {"rate_on": ["fast"]},
+        {"selfish_role": None},
+        {"users": {"role": "honest"}},
+        {"users": [{"role": "honest", "sensed_channels": 1.5}]},
+        {"users": [{"role": 3}]},
+        {"workers": "2"},
+    ):
+        with pytest.raises(ValueError, match="must be"):
+            scenario_from_dict(bad)
+    # JSON integers are numbers, and null clears an optional field
+    sc = scenario_from_dict({"slot_period": 1, "pairs": None, "phi": 3, "rate_on": [5, 6.5]})
+    assert sc.slot_period == 1 and sc.phi == 3 and sc.rate_on == (5, 6.5)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 400) | st.floats(-2, 400) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+_USER_JSON = st.dictionaries(
+    st.sampled_from(["role", "false_alarm", "miss", "sensed_channels"]),
+    st.sampled_from(["honest", "pes"]) | _JSON,
+    max_size=4,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(
+    st.sampled_from(sorted(simulate._CONFIG_TYPES) + ["sweep", "bogus"]),
+    _JSON | st.lists(_USER_JSON, max_size=3),
+    max_size=6,
+))
+def test_scenario_from_dict_fuzz_raises_only_value_errors(config):
+    try:
+        scenario_from_dict(config)
+    except ValueError:
+        pass
+
+
 def test_sweep_from_dict_parsing():
     assert sweep_from_dict({"sweep": {"param": "pairs", "values": [1, 2]}}) == [
         ("pairs", [1, 2])
@@ -312,6 +399,10 @@ def test_sweep_from_dict_parsing():
         sweep_from_dict({})
     with pytest.raises(ValueError):
         sweep_from_dict({"sweep": [{"param": "phi"}]})
+    for bad in ("phi", [{"param": ["phi"], "values": [3]}],
+                [{"param": "phi", "values": 3}], [{"param": "phi", "values": [None]}]):
+        with pytest.raises(ValueError):
+            sweep_from_dict({"sweep": bad})
 
 
 def test_summary_row_keys():
