@@ -8,9 +8,9 @@ actually observe:
   want the content, guess a pad.  Against a complement-closed subset the
   ciphertext carries zero information, so guessing is all there is: success
   rate 1/size.
-* partial sensing (`pes_act`): sense a few channels honestly and vote
-  per block with whatever positions you covered; blocks with no covered
-  position are coin flips between their alternatives.
+* partial sensing (`pes_act`): sense a few channels honestly and run the
+  honest vote with zero weight on the channels you did not cover; blocks
+  with no covered position are coin flips between their alternatives.
 * stale report (`history_act`): sense in one round, free-ride in the next
   using the outdated report; channel memory decays with the slot period, so
   the vote quality drops below an honest receiver's.
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import as_bits
-from .protocol import PadSubset, decrypt, recover_pad
+from .protocol import PadSubset, decrypt, recover_pad, recover_pads
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,21 +102,21 @@ def pes_act(
     rng: np.random.Generator,
     true_pad: np.ndarray | None = None,
 ) -> AttackOutcome:
-    """Partial-sensing crack: vote per block on the covered positions.
+    """Partial-sensing crack: the honest vote with unit weight on the
+    covered positions and zero weight elsewhere.
 
     Args:
         sensed_channels: indices of channels the attacker sensed.
         partial_report: full-length report vector; only the entries at
             `sensed_channels` are read.
         ciphertext: the target's published ciphertext.
-        subset: public pad subset (per-block alternatives must combine
-            freely, which holds for both generators).
-        rng: vote tie-breaks and uncovered-block guesses.
+        subset: public pad subset.
+        rng: vote tie-breaks (uncovered blocks always tie).
         true_pad: optional ground truth for `pad_recovered`.
 
-    A block with no covered position is guessed uniformly among its
-    alternatives, so with b uncovered blocks the full-pad success rate is
-    bounded by 2**-b times the covered blocks' vote success.
+    Over a product subset a block with no covered position is a fair guess
+    among its alternatives, so with b uncovered blocks the full-pad success
+    rate is bounded by 2**-b times the covered blocks' vote success.
     """
     ciphertext = as_bits(ciphertext)
     partial_report = as_bits(partial_report)
@@ -125,24 +125,9 @@ def pes_act(
     sensed = np.unique(np.asarray(sensed_channels, dtype=np.int64))
     if sensed.size and (sensed[0] < 0 or sensed[-1] >= subset.length):
         raise ValueError("sensed channel indices out of range")
-    covered = np.zeros(subset.length, dtype=bool)
-    covered[sensed] = True
-    target = np.bitwise_xor(partial_report, ciphertext)
-
-    pad = np.empty(subset.length, dtype=np.uint8)
-    for block in range(subset.num_blocks):
-        positions = subset.block_positions(block)
-        patterns = np.unique(subset.pads[:, positions], axis=0)
-        voting = positions[covered[positions]]
-        if voting.size == 0:
-            choice = rng.integers(patterns.shape[0])
-        else:
-            votes = (patterns[:, covered[positions]] == target[voting]).sum(axis=1)
-            best = np.flatnonzero(votes == votes.max())
-            choice = best[0] if best.size == 1 else rng.choice(best)
-        pad[positions] = patterns[choice]
-    if not (subset.pads == pad).all(axis=1).any():
-        raise ValueError("block choices did not assemble to a subset member")
+    covered = np.zeros(subset.length)
+    covered[sensed] = 1.0
+    pad = recover_pads(partial_report[None], ciphertext[None], subset, rng, weights=covered)[0]
     return _outcome(ciphertext, pad, int(sensed.size), true_pad)
 
 

@@ -48,7 +48,7 @@ def _build_subset(args) -> protocol.PadSubset:
         width = protocol.invert_success_rate(args.p_target, args.eta)
     else:
         width = args.phi
-    width = min(args.channels, int(np.ceil(args.omega * width)))
+    width = protocol.widen_block(args.channels, width, args.omega)
     return protocol.generate_subset(args.channels, width, rng)
 
 

@@ -178,14 +178,17 @@ def generate_subset(
         base_pad = as_bits(base_pad)
         if base_pad.size != padded:
             raise ValueError(f"base_pad must have padded length {padded}, got {base_pad.size}")
-    choices = np.stack([base_pad, complement(base_pad)])
-    # every pad picks, per block, the base block or the complement block
-    pads = np.empty((1 << num_blocks, padded), dtype=np.uint8)
-    for i in range(1 << num_blocks):
-        for b in range(num_blocks):
-            lo = b * block_length
-            pads[i, lo:lo + block_length] = choices[(i >> b) & 1, lo:lo + block_length]
+    # pad i flips block b of the base pad (takes its complement) when bit b of i is set
+    flips = (np.arange(1 << num_blocks)[:, None] >> np.arange(num_blocks)).astype(np.uint8) & 1
+    pads = base_pad ^ np.repeat(flips, block_length, axis=1)
     return PadSubset(pads[:, :length], block_length, num_blocks)
+
+
+def widen_block(length: int, block_length: int, omega: float) -> int:
+    """Block length scaled by `omega` >= 1, rounded up and capped at `length`."""
+    if not 1 <= omega < math.inf:
+        raise ValueError(f"omega must lie in [1, inf), got {omega}")
+    return min(length, math.ceil(omega * block_length))
 
 
 def generate_pairs(length: int, pairs: int, rng: np.random.Generator) -> PadSubset:
@@ -238,18 +241,17 @@ def decrypt(ciphertext: np.ndarray, pad: np.ndarray) -> np.ndarray:
     return xor(ciphertext, pad)
 
 
-def _vote_weights(subset: PadSubset, eta: np.ndarray | None) -> np.ndarray:
-    """Per-position vote weight: log odds when eta is given, else unit, with
-    the leading positions mirrored by the virtual tail counted twice."""
-    if eta is None:
+def _vote_weights(subset: PadSubset, weights: np.ndarray | None) -> np.ndarray:
+    """Per-position vote weights (unit when none are given), with the leading
+    positions mirrored by the virtual tail counted twice."""
+    if weights is None:
         w = np.ones(subset.length)
     else:
-        eta = np.asarray(eta, dtype=float)
-        if eta.shape != (subset.length,):
-            raise ValueError(f"eta must have shape ({subset.length},), got {eta.shape}")
-        if ((eta <= 0) | (eta >= 1)).any():
-            raise ValueError("eta entries must lie strictly between 0 and 1")
-        w = np.log(eta / (1.0 - eta))
+        w = np.array(weights, dtype=float)
+        if w.shape != (subset.length,):
+            raise ValueError(f"weights must have shape ({subset.length},), got {w.shape}")
+        if not np.isfinite(w).all():
+            raise ValueError("weights must be finite")
     tail = subset.padded_length - subset.length
     if tail:
         w[:tail] *= 2.0
@@ -269,30 +271,33 @@ def recover_pads(
     ciphertexts: np.ndarray,
     subset: PadSubset,
     rng: np.random.Generator,
-    eta: np.ndarray | None = None,
+    weights: np.ndarray | None = None,
 ) -> np.ndarray:
     """Known-plaintext pad recovery by weighted voting, one row per
     (receiver, sender) pair.
 
-    For row k, each candidate pad scores one vote per position where it
-    agrees with own_reports[k] xor ciphertexts[k]; the best-scoring pad
+    For row k, each candidate pad scores the weights of the positions where
+    it agrees with own_reports[k] xor ciphertexts[k]; the best-scoring pad
     wins.  Ties are broken row by row, in row order, with
-    `rng.choice(tied pad indices)`; rows without a tie draw nothing.  With
-    `eta` given, votes are weighted by the per-channel log odds
-    log(eta/(1-eta)) instead of counted.
+    `rng.choice(tied pad indices)`; rows without a tie draw nothing.  Unit
+    weights count votes and log odds log(eta/(1-eta)) give the likelihood
+    vote.  A voter gives zero weight to positions it did not observe: every
+    alternative of an unobserved block then ties, and over a product subset
+    the one draw among tied pads is a fair choice per such block.
 
     Writing the target bits t and pad bits p as signs 2t-1 and 2p-1, the
     weighted agreement is (sum(w) + sum(w * (2t-1) * (2p-1))) / 2, so every
     row's scores come from one matrix product against the subset's signed
-    pads.  Unit-weight scores are exact integers in float32; with `eta` the
-    product runs in float64.
+    pads.  Unit-weight scores are exact integers in float32; given weights
+    run in float64.
 
     Args:
         own_reports: (K, M) receivers' own sensing reports for the slot.
         ciphertexts: (K, M) senders' published ciphertexts.
         subset: the public pad subset every sender drew from.
         rng: tie-break source.
-        eta: optional per-channel agreement probabilities in (0, 1).
+        weights: optional finite (M,) per-position vote weights; unit by
+            default.  Positions mirrored by a virtual tail count twice.
 
     Returns:
         (K, M) array of winning pads (a new array).
@@ -306,10 +311,10 @@ def recover_pads(
         )
     if np.bitwise_or(own, cipher).max(initial=0) > 1:
         raise ValueError("report and ciphertext entries must be 0 or 1")
-    if eta is None:
+    if weights is None:
         weights, signed_pads = subset._unit_vote
     else:
-        weights = _vote_weights(subset, eta)
+        weights = _vote_weights(subset, weights)
         signed_pads = _signed(subset.pads.T, np.float64)
     targets = np.bitwise_xor(own, cipher).view(bool)
     picks = np.empty(targets.shape[0], dtype=np.intp)
@@ -330,14 +335,15 @@ def recover_pad(
     ciphertext: np.ndarray,
     subset: PadSubset,
     rng: np.random.Generator,
-    eta: np.ndarray | None = None,
+    weights: np.ndarray | None = None,
 ) -> np.ndarray:
     """`recover_pads` for a single (own_report, ciphertext) pair.
 
     Returns:
         The winning pad (copy, length M).
     """
-    return recover_pads(as_bits(own_report)[None], as_bits(ciphertext)[None], subset, rng, eta)[0]
+    own, cipher = as_bits(own_report)[None], as_bits(ciphertext)[None]
+    return recover_pads(own, cipher, subset, rng, weights)[0]
 
 
 def pad_posterior(
@@ -359,7 +365,7 @@ def pad_posterior(
     eta = np.asarray(eta, dtype=float)
     if not (own_report.size == ciphertext.size == candidate.size == eta.size):
         raise ValueError("own_report, ciphertext, eta and candidate must share one length")
-    if ((eta < 0) | (eta > 1)).any():
+    if not ((eta >= 0) & (eta <= 1)).all():
         raise ValueError("eta entries must lie in [0, 1]")
     target = np.bitwise_xor(own_report, ciphertext)
     factors = np.where(candidate == target, eta, 1.0 - eta)
@@ -386,7 +392,7 @@ def agreement_probability(
     if profile_x.num_channels != profile_y.num_channels:
         raise ValueError("profiles must cover the same number of channels")
     p1 = np.broadcast_to(np.asarray(occupancy, dtype=float), (profile_x.num_channels,))
-    if ((p1 < 0) | (p1 > 1)).any():
+    if not ((p1 >= 0) & (p1 <= 1)).all():
         raise ValueError("occupancy entries must lie in [0, 1]")
     fx, mx = profile_x.false_alarm, profile_x.miss
     fy, my = profile_y.false_alarm, profile_y.miss
@@ -418,7 +424,7 @@ def predict_success_rate(block_length: int, eta) -> float:
         eta = np.full(n, float(eta))
     if eta.shape != (n,):
         raise ValueError(f"eta must be scalar or shape ({n},), got {eta.shape}")
-    if ((eta < 0) | (eta > 1)).any():
+    if not ((eta >= 0) & (eta <= 1)).all():
         raise ValueError("eta entries must lie in [0, 1]")
     pmf = np.zeros(n + 1)
     pmf[0] = 1.0

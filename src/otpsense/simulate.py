@@ -91,8 +91,12 @@ class Scenario:
             raise ValueError("rounds must be >= 1")
         if self.num_channels < 1:
             raise ValueError("num_channels must be >= 1")
-        if self.omega < 1:
-            raise ValueError("omega must be >= 1")
+        if not 1 <= self.omega < np.inf:
+            raise ValueError(f"omega must lie in [1, inf), got {self.omega}")
+        if self.p_target is not None and not 0 < self.p_target < 1:
+            raise ValueError(f"p_target must lie in (0, 1), got {self.p_target}")
+        if not 0 <= self.ees_modification <= 1:
+            raise ValueError(f"ees_modification must lie in [0, 1], got {self.ees_modification}")
         if self.selfish_role not in ROLES or self.selfish_role == "honest":
             raise ValueError("selfish_role must be an attacker role")
         if self.pairs is None and self.phi is None and self.p_target is None:
@@ -137,7 +141,7 @@ def build_subset(sc: Scenario, rng: np.random.Generator) -> protocol.PadSubset:
         width = sc.phi
     else:
         return protocol.generate_pairs(sc.num_channels, sc.pairs, rng)
-    width = min(sc.num_channels, int(np.ceil(sc.omega * width)))
+    width = protocol.widen_block(sc.num_channels, width, sc.omega)
     return protocol.generate_subset(sc.num_channels, width, rng)
 
 

@@ -52,10 +52,11 @@ class ChannelModel:
             raise ValueError(f"num_channels must be >= 1, got {num_channels}")
         rate_on = _per_channel(rate_on, num_channels, "rate_on")
         rate_off = _per_channel(rate_off, num_channels, "rate_off")
-        if (rate_on <= 0).any() or (rate_off <= 0).any():
-            raise ValueError("sojourn rates must be positive")
-        if not slot_period > 0:
-            raise ValueError(f"slot_period must be positive, got {slot_period}")
+        rates = np.concatenate([rate_on, rate_off])
+        if not ((rates > 0) & (rates < np.inf)).all():
+            raise ValueError("sojourn rates must be positive and finite")
+        if not 0 < slot_period < np.inf:
+            raise ValueError(f"slot_period must be positive and finite, got {slot_period}")
         object.__setattr__(self, "num_channels", int(num_channels))
         object.__setattr__(self, "rate_on", rate_on)
         object.__setattr__(self, "rate_off", rate_off)
@@ -130,7 +131,7 @@ class DetectorProfile:
         if fa.shape != ms.shape or fa.ndim != 1:
             raise ValueError(f"false_alarm/miss shapes differ: {fa.shape} vs {ms.shape}")
         for name, a in (("false_alarm", fa), ("miss", ms)):
-            if ((a < 0) | (a > 1)).any():
+            if not ((a >= 0) & (a <= 1)).all():
                 raise ValueError(f"{name} entries must lie in [0, 1]")
         object.__setattr__(self, "false_alarm", fa)
         object.__setattr__(self, "miss", ms)

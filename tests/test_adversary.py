@@ -143,18 +143,22 @@ def test_pes_partial_block_still_votes():
     assert np.array_equal(out.recovered_pad[:2], pad[:2])
 
 
-def test_pes_rejects_non_factoring_subset():
-    # balanced and distinct, but block choices do not combine freely: picking
-    # base on block 0 and complement on block 1 yields 0,0,1,1 which is absent
+def test_pes_votes_on_any_subset():
+    # balanced and distinct, but block choices do not combine freely (base on
+    # block 0 with complement on block 1 gives 0,0,1,1, which is absent); the
+    # vote still picks a member with the best agreement on the covered channels
     sub = PadSubset([[0, 0, 0, 0], [0, 1, 1, 0], [1, 0, 0, 1], [1, 1, 1, 1]],
                     block_length=2, num_blocks=2)
     rng = np.random.default_rng(9)
-    report = np.array([0, 0, 1, 1], dtype=np.uint8)
-    cipher = np.array([0, 0, 0, 0], dtype=np.uint8)
-    with pytest.raises(ValueError, match="assemble"):
-        for _ in range(50):
-            pes_act(np.arange(4), report, cipher, sub, rng,
-                    true_pad=np.array([0, 0, 0, 0], dtype=np.uint8))
+    for _ in range(50):
+        sensed = np.flatnonzero(rng.random(4) < 0.5)
+        report = (rng.random(4) < 0.5).astype(np.uint8)
+        cipher = (rng.random(4) < 0.5).astype(np.uint8)
+        out = pes_act(sensed, report, cipher, sub, rng)
+        assert (sub.pads == out.recovered_pad).all(axis=1).any()
+        target = np.bitwise_xor(report, cipher)[sensed]
+        agreement = (sub.pads[:, sensed] == target).sum(axis=1)
+        assert (out.recovered_pad[sensed] == target).sum() == agreement.max()
 
 
 def test_pes_validation():

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from otpsense import simulate
 from otpsense.cli import main
 
 
@@ -175,8 +176,17 @@ def _honest(n):
     ({"rounds": "10"}, "rounds"),
     ({"users": [{"role": "honest", "miss": "low"}]}, "miss"),
     ({"users": _honest(3), "fusion_threshold": 4}, "fusion_threshold"),
+    ({"users": [{"false_alarm": float("nan")}]}, "false_alarm"),
+    ({"rate_on": float("nan")}, "rates"),
+    ({"slot_period": float("inf")}, "slot_period"),
+    ({"omega": float("inf")}, "omega"),
+    ({"omega": 0.5}, "omega"),
 ])
-def test_simulate_rejects_bad_config_values(tmp_path, capsys, cfg, word):
+def test_simulate_rejects_bad_config_values(tmp_path, capsys, monkeypatch, cfg, word):
+    def no_round(*args):
+        raise AssertionError("a round ran on a bad config")
+
+    monkeypatch.setattr(simulate, "run_round", no_round)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))
     code, out, err = run_cli(capsys, "simulate", "--config", str(path))
@@ -198,3 +208,19 @@ def test_experiment_rejects_workers_below_one(tmp_path, capsys, flag, config_wor
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error:") and "workers" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("predict", "--phi", "3", "--eta", "nan"),
+    ("predict", "--p-target", "0.9", "--eta", "nan"),
+    ("mask-level", "--channels", "6", "--phi", "3", "--pf", "nan"),
+    ("mask-level", "--channels", "6", "--phi", "3", "--pm", "inf"),
+    ("mask-level", "--channels", "6", "--phi", "3", "--p1", "nan"),
+    ("subset-gen", "--channels", "10", "--phi", "3", "--omega", "inf"),
+    ("subset-gen", "--channels", "10", "--phi", "3", "--omega", "nan"),
+    ("subset-gen", "--channels", "10", "--phi", "3", "--omega", "0.5"),
+])
+def test_rejects_non_finite_and_out_of_range_numbers(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err

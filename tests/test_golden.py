@@ -50,9 +50,11 @@ SCENARIOS = {
                           pairs=1, rounds=40, seed=10, encrypted=False),
 }
 
-# recorded from the scalar per-pair recovery loop
+# recorded from the scalar per-pair recovery loop; "attackers" re-recorded when
+# the pes user started voting through `recover_pads` (one tie-break draw per
+# call instead of one per block, and the honest decoder's tail weighting)
 DIGESTS = {
-    "attackers": "f2b5f6998ce2060f96e6747984ce92cf19cafa0f6473e4a9d6f961f8edd1c633",
+    "attackers": "e6878844a8a54f7e3ece097a5da512fbe9f89176c68023d50b03761201959961",
     "ees_previous_round": "09d8c107acb91c459ebc5f1f7cc9834b4e24962680f4adfaa1c558a728b696ec",
     "p_target_omega": "303ecc97f6dd59a722469562f3b1269af0c183ece492ec6abcd781b2d23ffed6",
     "pairs1_even_band": "9e1c127ac33b367b74ea509677ceadebf45e2bfde10d390196cbdf41be61bd52",

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from otpsense import protocol
-from otpsense.bits import as_bits, complement
+from otpsense.bits import as_bits, complement, random_bits
 from otpsense.leakage import xi_profile
 from otpsense.protocol import (
     MAX_BLOCKS,
@@ -30,25 +30,41 @@ from otpsense.protocol import (
     predict_success_rate,
     recover_pad,
     recover_pads,
+    widen_block,
 )
 from otpsense.spectrum import DetectorProfile
 
 
-def scalar_recover_pad(own_report, ciphertext, subset, rng, eta=None):
+def scalar_recover_pad(own_report, ciphertext, subset, rng, weights=None):
     """Oracle: score every pad of the subset against one target, one pair
     per call (weighted agreement count, leading positions mirrored by the
     virtual tail counted twice, ties broken by rng.choice)."""
     target = np.bitwise_xor(as_bits(own_report), as_bits(ciphertext))
-    if eta is None:
-        w = np.ones(subset.length)
-    else:
-        eta = np.asarray(eta, dtype=float)
-        w = np.log(eta / (1.0 - eta))
+    w = np.ones(subset.length) if weights is None else np.array(weights, dtype=float)
     w[:subset.padded_length - subset.length] *= 2.0
     scores = (subset.pads == target) @ w
     winners = np.flatnonzero(scores == scores.max())
     pick = winners[0] if winners.size == 1 else rng.choice(winners)
     return subset.pads[pick].copy(), scores
+
+
+def loop_generate_subset(length, block_length, rng, base_pad=None):
+    """Reference: the nested-loop block subset construction, one pad and one
+    block at a time."""
+    num_blocks = -(-length // block_length)
+    padded = block_length * num_blocks
+    base_pad = random_bits(padded, rng) if base_pad is None else as_bits(base_pad)
+    choices = np.stack([base_pad, complement(base_pad)])
+    pads = np.empty((1 << num_blocks, padded), dtype=np.uint8)
+    for i in range(1 << num_blocks):
+        for b in range(num_blocks):
+            lo = b * block_length
+            pads[i, lo:lo + block_length] = choices[(i >> b) & 1, lo:lo + block_length]
+    return PadSubset(pads[:, :length], block_length, num_blocks)
+
+
+def log_odds(eta):
+    return np.log(eta / (1.0 - eta))
 
 
 def enumerate_success_rate(eta):
@@ -121,6 +137,31 @@ def test_subset_block_structure_by_enumeration():
     combos = {tuple(tuple(row[sub.block_positions(b)]) for b in range(sub.num_blocks))
               for row in sub.pads}
     assert len(combos) == sub.size == 2 ** sub.num_blocks
+
+
+def test_generate_subset_matches_loop_reference_exhaustively():
+    for m in range(1, 13):
+        for phi in range(1, m + 1):
+            padded = phi * -(-m // phi)
+            ref_rng = np.random.default_rng(m * 100 + phi)
+            new_rng = np.random.default_rng(m * 100 + phi)
+            ref, new = loop_generate_subset(m, phi, ref_rng), generate_subset(m, phi, new_rng)
+            assert new.pads.tobytes() == ref.pads.tobytes(), (m, phi)
+            assert (new.block_length, new.num_blocks) == (ref.block_length, ref.num_blocks)
+            assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+            base = random_bits(padded, ref_rng)
+            ref = loop_generate_subset(m, phi, None, base_pad=base)
+            new = generate_subset(m, phi, None, base_pad=base)
+            assert new.pads.tobytes() == ref.pads.tobytes(), (m, phi)
+
+
+def test_widen_block():
+    assert widen_block(25, 5, 1.0) == 5
+    assert widen_block(25, 5, 1.5) == 8  # rounded up
+    assert widen_block(25, 5, 9) == 25  # capped at the report length
+    for bad in (0.5, 0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="omega"):
+            widen_block(25, 5, bad)
 
 
 def test_subset_validation():
@@ -241,7 +282,7 @@ def test_recover_weighted_matches_posterior_argmax():
         best = np.flatnonzero(posts == posts.max())
         if best.size != 1:
             continue  # skipping ambiguous draws; tie break is random by design
-        got = recover_pad(own, cipher, sub, rng, eta=eta)
+        got = recover_pad(own, cipher, sub, rng, weights=log_odds(eta))
         assert np.array_equal(got, sub.pads[best[0]])
 
 
@@ -264,26 +305,44 @@ def oracle_subsets(rng):
     return subsets
 
 
+def coverage_weights(sub, rng):
+    """0/1 weights of a partial observer: a random position mask with some
+    whole blocks left unobserved."""
+    w = (rng.random(sub.length) < 0.6).astype(float)
+    for b in np.flatnonzero(rng.random(sub.num_blocks) < 0.4):
+        w[b * sub.block_length:(b + 1) * sub.block_length] = 0.0
+    return w
+
+
 @pytest.mark.parametrize("chunk", [SCORE_CHUNK, 40])
 def test_recover_pads_matches_scalar_oracle(chunk, monkeypatch):
+    # unit weights, then the 0/1 coverage weights of a partial observer
     monkeypatch.setattr(protocol, "SCORE_CHUNK", chunk)
     rng = np.random.default_rng(16)
-    tied_rows = 0
+    tied_rows = {False: 0, True: 0}
+    zero_blocks = 0
     for i, sub in enumerate(oracle_subsets(rng)):
-        k = int(rng.integers(1, 120))
-        own = (rng.random((k, sub.length)) < 0.5).astype(np.uint8)
-        cipher = (rng.random((k, sub.length)) < 0.5).astype(np.uint8)
-        ref_rng, new_rng = np.random.default_rng(i), np.random.default_rng(i)
-        want = []
-        for o, c in zip(own, cipher):
-            pad, scores = scalar_recover_pad(o, c, sub, ref_rng)
-            want.append(pad)
-            tied_rows += (scores == scores.max()).sum() > 1
-        got = recover_pads(own, cipher, sub, new_rng)
-        assert got.shape == (k, sub.length)
-        assert np.array_equal(got, np.stack(want)), i
-        assert new_rng.bit_generator.state == ref_rng.bit_generator.state, i
-    assert tied_rows > 100  # the tie-break order is really exercised
+        for coverage in (False, True):
+            k = int(rng.integers(1, 120))
+            own = (rng.random((k, sub.length)) < 0.5).astype(np.uint8)
+            cipher = (rng.random((k, sub.length)) < 0.5).astype(np.uint8)
+            weights = coverage_weights(sub, rng) if coverage else None
+            if coverage:
+                starts = np.arange(0, sub.length, sub.block_length)
+                zero_blocks += np.count_nonzero(np.add.reduceat(weights, starts) == 0)
+            seed = 2 * i + coverage
+            ref_rng, new_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = []
+            for o, c in zip(own, cipher):
+                pad, scores = scalar_recover_pad(o, c, sub, ref_rng, weights)
+                want.append(pad)
+                tied_rows[coverage] += (scores == scores.max()).sum() > 1
+            got = recover_pads(own, cipher, sub, new_rng, weights=weights)
+            assert got.shape == (k, sub.length)
+            assert np.array_equal(got, np.stack(want)), (i, coverage)
+            assert new_rng.bit_generator.state == ref_rng.bit_generator.state, (i, coverage)
+    # the tie-break order is really exercised, also over unobserved blocks
+    assert min(tied_rows.values()) > 100 and zero_blocks > 10
 
 
 def test_recover_pads_weighted_matches_scalar_oracle():
@@ -295,15 +354,13 @@ def test_recover_pads_weighted_matches_scalar_oracle():
         if sub.size == 1:
             continue
         k = int(rng.integers(1, 120))
-        eta = rng.uniform(0.55, 0.95, sub.length)
+        w = log_odds(rng.uniform(0.55, 0.95, sub.length))
         own = (rng.random((k, sub.length)) < 0.5).astype(np.uint8)
         cipher = (rng.random((k, sub.length)) < 0.5).astype(np.uint8)
-        got = recover_pads(own, cipher, sub, np.random.default_rng(i), eta=eta)
-        w = np.log(eta / (1 - eta))
-        w[:sub.padded_length - sub.length] *= 2
-        total = w.sum()
+        got = recover_pads(own, cipher, sub, np.random.default_rng(i), weights=w)
+        total = w.sum() + w[:sub.padded_length - sub.length].sum()
         for row, o, c in zip(got, own, cipher):
-            pad, scores = scalar_recover_pad(o, c, sub, rng, eta=eta)
+            pad, scores = scalar_recover_pad(o, c, sub, rng, weights=w)
             best, runner_up = np.sort(scores)[-1:-3:-1]
             if best - runner_up > 1e-9 * total:
                 compared += 1
@@ -341,9 +398,10 @@ def test_recover_validation():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
         recover_pad(np.zeros(3, dtype=np.uint8), np.zeros(4, dtype=np.uint8), sub, rng)
-    with pytest.raises(ValueError):
-        recover_pad(np.zeros(4, dtype=np.uint8), np.zeros(4, dtype=np.uint8), sub, rng,
-                    eta=np.full(4, 1.0))  # log odds undefined at the boundary
+    zeros = np.zeros(4, dtype=np.uint8)
+    for bad in (np.full(4, np.inf), [np.nan, 1.0, 1.0, 1.0], np.ones(3)):
+        with pytest.raises(ValueError, match="weights"):
+            recover_pad(zeros, zeros, sub, rng, weights=bad)
 
 
 def test_recovery_with_partial_final_block():
@@ -435,6 +493,8 @@ def test_agreement_probability_validation():
         agreement_probability(p2, p3, 0.5)
     with pytest.raises(ValueError):
         agreement_probability(p2, p2, 1.5)
+    with pytest.raises(ValueError):
+        agreement_probability(p2, p2, [0.5, np.nan])
 
 
 # ---- success rate ------------------------------------------------------
@@ -470,6 +530,12 @@ def test_predict_validation():
         predict_success_rate(3, [0.8, 0.8])
     with pytest.raises(ValueError):
         predict_success_rate(2, [0.8, 1.2])
+    with pytest.raises(ValueError):
+        predict_success_rate(3, np.nan)
+    with pytest.raises(ValueError):
+        predict_success_rate(2, [0.8, np.nan])
+    with pytest.raises(ValueError):
+        pad_posterior([0, 0], [0, 0], [0.9, np.nan], [0, 0])
 
 
 def test_invert_success_rate_frozen_values():

@@ -48,8 +48,9 @@ def test_scenario_validation():
         small_scenario(rounds=0)
     with pytest.raises(ValueError):
         small_scenario(num_channels=0)
-    with pytest.raises(ValueError):
-        small_scenario(omega=0.5)
+    for bad in (0.5, np.inf, np.nan):
+        with pytest.raises(ValueError, match="omega"):
+            small_scenario(omega=bad)
     with pytest.raises(ValueError):
         small_scenario(selfish_role="honest")
     with pytest.raises(ValueError):
@@ -365,8 +366,41 @@ def test_scenario_from_dict_rejects_wrong_json_types():
     assert sc.slot_period == 1 and sc.phi == 3 and sc.rate_on == (5, 6.5)
 
 
+def build_before_rounds(config: dict) -> None:
+    """What `run_simulation` builds before its first round, short of the subset."""
+    sc = scenario_from_dict(config)
+    simulate.channel_model(sc)
+    simulate.detector_profiles(sc)
+
+
+def test_non_finite_numbers_are_rejected_before_any_round():
+    nan, inf = float("nan"), float("inf")
+    for bad in (
+        {"rate_on": nan},
+        {"rate_off": [50.0] * 99 + [inf]},
+        {"slot_period": inf},
+        {"omega": inf},
+        {"omega": nan},
+        {"p_target": nan},
+        {"ees_modification": nan},
+        {"users": [{"role": "honest", "false_alarm": nan}]},
+        {"users": [{"role": "honest", "miss": [0.1] * 99 + [-inf]}]},
+    ):
+        with pytest.raises(ValueError):
+            build_before_rounds(bad)
+
+
+def _non_finite(v) -> bool:
+    if isinstance(v, float):
+        return not np.isfinite(v)
+    if isinstance(v, dict):
+        return any(_non_finite(x) for x in v.values())
+    return isinstance(v, list) and any(_non_finite(x) for x in v)
+
+
+_NUMBER_JSON = st.floats(-2, 400) | st.sampled_from([float("nan"), float("inf"), float("-inf")])
 _JSON = st.recursive(
-    st.none() | st.booleans() | st.integers(-3, 400) | st.floats(-2, 400) | st.text(max_size=3),
+    st.none() | st.booleans() | st.integers(-3, 400) | _NUMBER_JSON | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
     max_leaves=6,
 )
@@ -384,10 +418,12 @@ _USER_JSON = st.dictionaries(
     max_size=6,
 ))
 def test_scenario_from_dict_fuzz_raises_only_value_errors(config):
+    # a config holding NaN or infinity anywhere but "sweep" is rejected
     try:
-        scenario_from_dict(config)
+        build_before_rounds(config)
     except ValueError:
-        pass
+        return
+    assert not _non_finite({k: v for k, v in config.items() if k != "sweep"})
 
 
 def test_sweep_from_dict_parsing():

@@ -35,6 +35,11 @@ def test_model_validation():
         ChannelModel(2, 1.0, 1.0, slot_period=0.0)
     with pytest.raises(ValueError):
         ChannelModel(2, [1.0, 1.0, 1.0], 1.0)
+    # non-finite values fail the range checks too
+    for on, off, period in ((np.nan, 1.0, 1.0), (1.0, [1.0, np.inf], 1.0),
+                            (1.0, 1.0, np.nan), (1.0, 1.0, np.inf)):
+        with pytest.raises(ValueError):
+            ChannelModel(2, on, off, slot_period=period)
 
 
 def test_stationary_sampling_matches_occupancy():
@@ -109,6 +114,11 @@ def test_profile_validation():
         DetectorProfile([0.1, 0.2], [0.1])
     with pytest.raises(ValueError):
         DetectorProfile([1.5], [0.1])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="false_alarm"):
+            DetectorProfile([0.1, bad], [0.1, 0.1])
+        with pytest.raises(ValueError, match="miss"):
+            DetectorProfile([0.1], [bad])
     with pytest.raises(ValueError):
         sense(np.zeros(3, dtype=np.uint8), DetectorProfile.homogeneous(2, 0.1, 0.1),
               np.random.default_rng(0))
