@@ -95,12 +95,14 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_mask_level(args) -> int:
+    # identical senders form one group of senders + 1 count outcomes
+    if not 1 <= args.senders < leakage.MAX_JOINT_OUTCOMES:
+        raise ValueError(
+            f"--senders must lie in 1..{leakage.MAX_JOINT_OUTCOMES - 1}, got {args.senders}"
+        )
     subset = _build_subset(args)
-    profiles = [
-        spectrum.DetectorProfile.homogeneous(args.channels, args.pf, args.pm)
-        for _ in range(args.senders)
-    ]
-    report = leakage.leakage_report(subset, args.p1, profiles)
+    profile = spectrum.DetectorProfile.homogeneous(args.channels, args.pf, args.pm)
+    report = leakage.leakage_report(subset, args.p1, [profile] * args.senders)
     text = output.write(report.rows(), _metadata(args, {"p1": args.p1}), args.format, args.out)
     if args.out is None:
         sys.stdout.write(text)

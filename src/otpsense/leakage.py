@@ -1,11 +1,11 @@
 """Exact information-leakage analysis of published ciphertexts.
 
 How much does an eavesdropper that senses nothing learn about channel i from
-the ciphertext bits it overhears?  Everything here is exact enumeration over
-the tiny per-bit alphabets, no sampling: the channel state C_i is Bernoulli
-with the stationary busy probability, each sender's report bit follows its
-detector profile, pad bits are uniform over the public subset, and the
-masking level is the mutual information I(C_i ; E_i) in bits.
+the ciphertext bits it overhears?  Everything here is exact, no sampling:
+the channel state C_i is Bernoulli with the stationary busy probability,
+each sender's report bit follows its detector profile, pad bits are uniform
+over the public subset, and the masking level is the mutual information
+I(C_i ; E_i) in bits.
 
 The subset property that kills the leak is complement closure: it forces
 every pad bit to be marginally Bernoulli(1/2) (`xi_profile` == 0.5), which
@@ -13,10 +13,24 @@ makes the ciphertext bit an unbiased coin regardless of the state.  The
 converse does not hold for arbitrary pad collections (a set can hit
 xi == 0.5 everywhere without containing complements), but zero per-bit
 leakage needs only xi == 0.5.
+
+Several senders draw their pads independently, so their ciphertext bits are
+conditionally independent given the state.  Senders with equal detector
+profiles (compared by value) share one ciphertext law e, and within such a
+group of n the count of 1-bits is a sufficient statistic for the state: it
+is Binomial(n, e), and the mutual information of the counts equals that of
+the bit vectors.  The joint law is the outer product of the groups'
+binomial pmfs, so a homogeneous population needs n + 1 outcomes instead of
+2**n, and one where every sender differs needs 2**n as before.  The
+outcome table, prod(n_g + 1) over groups, is capped at MAX_JOINT_OUTCOMES.
+Every quantity is computed for all channels at once by one kernel, in
+channel chunks of bounded size; `masking_level` and `joint_masking_level`
+are its one-channel views.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,9 +38,13 @@ import numpy as np
 from .protocol import PadSubset
 from .spectrum import DetectorProfile
 
-# joint enumeration is 2**N outcomes; past 20 senders this stops being exact
-# analysis and starts being a memory bug
-MAX_JOINT_SENDERS = 20
+# the count-outcome table has prod(n_g + 1) rows per channel; past 2**20
+# (20 distinct senders) it stops being exact analysis and starts being a
+# memory bug
+MAX_JOINT_OUTCOMES = 2 ** 20
+
+# entries per float temporary (state x channel x outcome) in the kernel
+LEAK_CHUNK = 2 ** 15
 
 
 def xi_profile(subset: PadSubset) -> np.ndarray:
@@ -41,32 +59,95 @@ def xi_profile(subset: PadSubset) -> np.ndarray:
     return subset.xi
 
 
-def _report_one(profile: DetectorProfile, channel: int) -> np.ndarray:
-    """[P(R=1 | idle), P(R=1 | busy)] for one channel of one sender."""
-    return np.array([profile.false_alarm[channel], 1.0 - profile.miss[channel]])
+def _log_comb(n: int) -> np.ndarray:
+    """log C(n, k) for k = 0..n."""
+    log_fact = np.array([math.lgamma(k + 1) for k in range(n + 1)])
+    return log_fact[n] - log_fact - log_fact[::-1]
 
 
-def _cipher_one(xi: float, report_one: np.ndarray) -> np.ndarray:
-    """[P(E=1 | idle), P(E=1 | busy)] after XOR with an independent pad bit
-    that is zero with probability xi."""
-    return xi * report_one + (1.0 - xi) * (1.0 - report_one)
-
-
-def _mutual_information(p_state: np.ndarray, p_obs_given_state: np.ndarray) -> float:
-    """I(state ; observation) in bits for a finite joint distribution.
+def _mutual_information(laws: np.ndarray, counts, occupancy: np.ndarray) -> np.ndarray:
+    """I(C_i ; ciphertext bits) in bits for every channel i.
 
     Parameters
     ----------
-    p_state : (S,) prior.
-    p_obs_given_state : (S, K) rows of conditional observation laws.
+    laws : (G, 2, M) P(E=1 | idle), P(E=1 | busy) of each sender group.
+    counts : (G,) senders per group, each >= 1.
+    occupancy : (M,) busy probabilities.
     """
-    joint = p_state[:, None] * p_obs_given_state
-    p_obs = joint.sum(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_ratio = np.log2(joint) - np.log2(p_state[:, None] * p_obs)
-        log_ratio = np.where(joint > 0, log_ratio, 0.0)
-    # exact zeros can round to ~ -1e-17; information is never negative
-    return max(float((joint * log_ratio).sum()), 0.0)
+    m = occupancy.size
+    counts = [int(n) for n in counts]
+    sizes = [n + 1 for n in counts]
+    # every group's counts side by side: count k of a group of n, log C(n, k)
+    k = np.concatenate([np.arange(size) for size in sizes])
+    n = np.repeat(counts, sizes)
+    group = np.repeat(np.arange(len(counts)), sizes)
+    log_comb = np.concatenate([_log_comb(c) for c in counts])
+    step = max(1, LEAK_CHUNK // (2 * math.prod(sizes)))
+    out = np.empty(m)
+    for lo in range(0, m, step):
+        hi = min(lo + step, m)
+        # (2, channels, sum of sizes) in C order, so that every channel's
+        # outcomes are summed in the same order whatever the chunk
+        law = np.moveaxis(laws[group, :, lo:hi], 0, -1).copy()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # Binomial(n, law) pmfs; 0 * log(0) is 0, as a certain bit makes
+            # every other count impossible
+            log_pmf = (log_comb + np.where(k > 0, k * np.log(law), 0.0)
+                       + np.where(k < n, (n - k) * np.log1p(-law), 0.0))
+        # P(counts | state): (2, channels, outcomes), last group's count varying fastest
+        table = np.ones((2, hi - lo, 1))
+        for pmf in np.split(np.exp(log_pmf), np.cumsum(sizes)[:-1], axis=-1):
+            table = (table[..., None] * pmf[..., None, :]).reshape(2, hi - lo, -1)
+        busy = occupancy[lo:hi, None]
+        idle = 1.0 - busy
+        joint_idle, joint_busy = idle * table[0], busy * table[1]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # P(outcome | state) / P(outcome) as 1 / (idle + busy * ratio) and
+            # 1 / (idle / ratio + busy): equal state laws give ratio 1 and
+            # idle + busy == 1 exactly, so closed subsets leak exactly 0
+            ratio = table[1] / table[0]
+            mi = (np.where(joint_idle > 0, joint_idle * -np.log2(idle + busy * ratio), 0.0)
+                  + np.where(joint_busy > 0, joint_busy * -np.log2(idle / ratio + busy), 0.0))
+        out[lo:hi] = mi.sum(axis=-1)
+    # rounding can leave -0.0 or ~ -1e-17; information is never negative
+    return np.where(out > 0, out, 0.0)
+
+
+def _senders(subset, occupancy, profiles, channels: slice):
+    """Validated kernel inputs on `channels`: occupancy (C,), ciphertext laws
+    (D, 2, C) of the D distinct profiles, their sender counts, and each
+    sender's index among them."""
+    xi = subset.xi[channels]
+    occ = np.broadcast_to(np.asarray(occupancy, dtype=float), xi.shape)
+    if not ((occ >= 0) & (occ <= 1)).all():
+        raise ValueError(f"occupancy must lie in [0, 1], got {occupancy}")
+    if not profiles:
+        raise ValueError("need at least one sender")
+    distinct: list[DetectorProfile] = []
+    group_of: dict[tuple[bytes, bytes], int] = {}  # profile values -> index in distinct
+    index = np.empty(len(profiles), dtype=np.intp)
+    for x, profile in enumerate(profiles):
+        key = (profile.false_alarm.tobytes(), profile.miss.tobytes())
+        if key not in group_of:
+            group_of[key] = len(distinct)
+            distinct.append(profile)
+        index[x] = group_of[key]
+    counts = np.bincount(index)
+    outcomes = math.prod(int(n) + 1 for n in counts)
+    if outcomes > MAX_JOINT_OUTCOMES:
+        raise ValueError(
+            f"{len(profiles)} senders in {len(distinct)} distinct profiles need {outcomes} "
+            f"count outcomes, past the {MAX_JOINT_OUTCOMES} of exact analysis"
+        )
+    for profile in distinct:
+        if profile.num_channels != subset.length:
+            raise ValueError(
+                f"profile covers {profile.num_channels} channels, subset pads {subset.length}"
+            )
+    report_one = np.array([[p.false_alarm[channels], 1.0 - p.miss[channels]] for p in distinct])
+    # XOR with an independent pad bit that is zero with probability xi
+    laws = xi * report_one + (1.0 - xi) * (1.0 - report_one)
+    return occ, laws, counts, index
 
 
 def masking_level(
@@ -90,11 +171,14 @@ def masking_level(
         Leakage in bits; 0 <= value <= 1, exactly 0 when the pad bit is
         unbiased (xi == 0.5).
     """
-    _check_channel(subset, profile, channel, occupancy)
-    xi = xi_profile(subset)[channel]
-    p_state = np.array([1.0 - occupancy, occupancy])
-    e1 = _cipher_one(xi, _report_one(profile, channel))
-    return _mutual_information(p_state, np.column_stack([1.0 - e1, e1]))
+    return joint_masking_level(subset, occupancy, [profile], channel)
+
+
+def masking_levels(subset: PadSubset, occupancy, profile: DetectorProfile) -> np.ndarray:
+    """`masking_level` on every channel, as one (M,) array; `occupancy` is a
+    scalar or a per-channel vector."""
+    occ, laws, counts, _ = _senders(subset, occupancy, [profile], slice(None))
+    return _mutual_information(laws, counts, occ)
 
 
 def joint_masking_level(
@@ -106,38 +190,19 @@ def joint_masking_level(
     """Leakage about channel i from the ciphertext bits of several senders.
 
     Each sender draws its pad independently from the same subset, so the
-    ciphertext bits are conditionally independent given the state and the
-    joint law is a product; the 2**N outcome space is enumerated exactly.
+    ciphertext bits are conditionally independent given the state; the law
+    of the per-profile 1-bit counts is evaluated exactly.
 
     Raises
     ------
     ValueError
-        More than MAX_JOINT_SENDERS profiles, or none.
+        No profiles, or a count-outcome table past MAX_JOINT_OUTCOMES
+        (more than 20 senders when all differ).
     """
-    if not 1 <= len(profiles) <= MAX_JOINT_SENDERS:
-        raise ValueError(f"need 1..{MAX_JOINT_SENDERS} senders, got {len(profiles)}")
-    for profile in profiles:
-        _check_channel(subset, profile, channel, occupancy)
-    xi = xi_profile(subset)[channel]
-    p_state = np.array([1.0 - occupancy, occupancy])
-    # build P(e_1..e_N | state) over all 2**N outcome vectors, one sender at
-    # a time: outcome index grows its binary expansion least-significant first
-    cond = np.ones((2, 1))
-    for profile in profiles:
-        e1 = _cipher_one(xi, _report_one(profile, channel))[:, None]
-        cond = np.concatenate([cond * (1.0 - e1), cond * e1], axis=1)
-    return _mutual_information(p_state, cond)
-
-
-def _check_channel(subset, profile, channel, occupancy) -> None:
-    if not 0 <= occupancy <= 1:
-        raise ValueError(f"occupancy must lie in [0, 1], got {occupancy}")
-    if profile.num_channels != subset.length:
-        raise ValueError(
-            f"profile covers {profile.num_channels} channels, subset pads {subset.length}"
-        )
     if not 0 <= channel < subset.length:
         raise ValueError(f"channel {channel} out of range for length {subset.length}")
+    occ, laws, counts, _ = _senders(subset, occupancy, profiles, slice(channel, channel + 1))
+    return float(_mutual_information(laws, counts, occ)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,14 +244,13 @@ def leakage_report(
 ) -> LeakageReport:
     """Evaluate per-sender and joint masking levels on every channel.
 
-    `occupancy` may be a scalar or a per-channel vector.
+    `occupancy` may be a scalar or a per-channel vector.  The per-sender
+    levels are evaluated once per distinct profile.
     """
-    m = subset.length
-    occ = np.broadcast_to(np.asarray(occupancy, dtype=float), (m,))
-    per = np.empty((len(profiles), m))
-    joint = np.empty(m)
-    for i in range(m):
-        for x, profile in enumerate(profiles):
-            per[x, i] = masking_level(subset, occ[i], profile, i)
-        joint[i] = joint_masking_level(subset, occ[i], profiles, i)
-    return LeakageReport(per, joint, xi_profile(subset))
+    occ, laws, counts, index = _senders(subset, occupancy, profiles, slice(None))
+    d, m = laws.shape[0], occ.size
+    # every distinct sender alone, its channels laid end to end
+    alone = _mutual_information(
+        laws.transpose(1, 0, 2).reshape(1, 2, d * m), (1,), np.tile(occ, d)
+    ).reshape(d, m)
+    return LeakageReport(alone[index], _mutual_information(laws, counts, occ), subset.xi)

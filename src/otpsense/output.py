@@ -15,12 +15,8 @@ FORMATS = ("csv", "json-lines")
 
 
 def _columns(rows: list[dict]) -> list[str]:
-    cols: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in cols:
-                cols.append(key)
-    return cols
+    """Every key of every row, in order of first appearance."""
+    return list(dict.fromkeys(key for row in rows for key in row))
 
 
 def render(rows: list[dict], metadata: dict, fmt: str) -> str:

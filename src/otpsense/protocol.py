@@ -138,6 +138,12 @@ class PadSubset:
         dtype = np.float32 if self.padded_length < 2 ** 24 else np.float64
         return _vote_weights(self, None).astype(dtype), _signed(self.pads.T, dtype)
 
+    @functools.cached_property
+    def _signed_pads(self) -> np.ndarray:
+        """The (length, size) float64 table of 2*pad - 1 that weighted votes
+        score against."""
+        return _signed(self.pads.T, np.float64)
+
 
 def is_secure_pair_closed(subset: PadSubset) -> bool:
     """True when every pad's bitwise complement is also in the subset."""
@@ -314,8 +320,7 @@ def recover_pads(
     if weights is None:
         weights, signed_pads = subset._unit_vote
     else:
-        weights = _vote_weights(subset, weights)
-        signed_pads = _signed(subset.pads.T, np.float64)
+        weights, signed_pads = _vote_weights(subset, weights), subset._signed_pads
     targets = np.bitwise_xor(own, cipher).view(bool)
     picks = np.empty(targets.shape[0], dtype=np.intp)
     step = max(1, SCORE_CHUNK // max(subset.size, subset.length))

@@ -429,11 +429,7 @@ def run_simulation(sc: Scenario) -> SimulationSummary:
     masking = None
     if sc.encrypted:
         occupancy = spectrum.stationary_occupancy(model)
-        per = [
-            leakage.masking_level(subset, float(occupancy[i]), profiles[target], i)
-            for i in range(sc.num_channels)
-        ]
-        masking = float(np.mean(per))
+        masking = float(np.mean(leakage.masking_levels(subset, occupancy, profiles[target])))
 
     return SimulationSummary(
         scenario=sc,

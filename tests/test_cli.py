@@ -85,6 +85,23 @@ def test_mask_level_closed_subset(capsys):
         assert row["xi"] == 0.5
 
 
+def test_mask_level_many_identical_senders(capsys):
+    code, out, _ = run_cli(capsys, "mask-level", "--channels", "6", "--phi", "3",
+                           "--senders", "64", "--format", "json-lines")
+    assert code == 0
+    rows = [json.loads(l) for l in out.strip().split("\n")[1:]]
+    assert len(rows) == 6 and all(len(row) == 3 + 64 for row in rows)
+    assert all(row["joint_mi"] == 0.0 for row in rows)
+
+
+@pytest.mark.parametrize("senders", ["0", "-1", "1048576"])
+def test_mask_level_rejects_bad_sender_counts(capsys, senders):
+    code, out, err = run_cli(capsys, "mask-level", "--channels", "6", "--phi", "3",
+                             "--senders", senders)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and f"got {senders}" in err
+
+
 def test_simulate_roundtrip(tmp_path, capsys):
     cfg = {
         "num_channels": 10,

@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from otpsense import leakage
 from otpsense.leakage import (
-    MAX_JOINT_SENDERS,
+    MAX_JOINT_OUTCOMES,
     LeakageReport,
     joint_masking_level,
     leakage_report,
@@ -56,6 +57,21 @@ def oracle_joint_mi(subset, occupancy, profiles, channel):
                 p *= q if e else 1 - q
             joint[state, es] = joint.get((state, es), 0.0) + p
     return _mi_from_dict(joint)
+
+
+def reference_joint_mi(subset, occupancy, profiles, channel):
+    """I(state; all senders' cipher bits) over all 2**N outcome vectors,
+    built one sender at a time (the enumeration the count kernel replaced)."""
+    xi = subset.xi[channel]
+    cond = np.ones((2, 1))
+    for prof in profiles:
+        report_one = np.array([prof.false_alarm[channel], 1.0 - prof.miss[channel]])
+        e1 = (xi * report_one + (1.0 - xi) * (1.0 - report_one))[:, None]
+        cond = np.concatenate([cond * (1.0 - e1), cond * e1], axis=1)
+    joint = np.array([1.0 - occupancy, occupancy])[:, None] * cond
+    indep = joint.sum(axis=1, keepdims=True) * joint.sum(axis=0)
+    seen = joint > 0
+    return max(float((joint[seen] * np.log2(joint[seen] / indep[seen])).sum()), 0.0)
 
 
 def _mi_from_dict(joint):
@@ -176,12 +192,77 @@ def test_joint_masking_monotone_in_senders():
 
 
 def test_joint_masking_sender_cap():
-    sub = generate_pairs(2, 1, np.random.default_rng(0))
-    profile = DetectorProfile.homogeneous(2, 0.1, 0.1)
+    # identical senders form one count group of n + 1 outcomes, so 64 of them
+    # are exact and carry the monotone trend on
+    sub = PadSubset([[0, 1]])
+    profile = DetectorProfile.homogeneous(2, 0.15, 0.1)
+    eight = joint_masking_level(sub, 0.5, [profile] * 8, 0)
+    many = joint_masking_level(sub, 0.5, [profile] * 64, 0)
+    assert eight < many <= 1.0 + 1e-12
+    # 21 distinct senders need 2**21 outcomes, past the table bound
+    assert MAX_JOINT_OUTCOMES == 2 ** 20
+    distinct = [DetectorProfile.homogeneous(2, 0.01 * (x + 1), 0.1) for x in range(21)]
     with pytest.raises(ValueError):
-        joint_masking_level(sub, 0.5, [profile] * (MAX_JOINT_SENDERS + 1), 0)
+        joint_masking_level(sub, 0.5, distinct, 0)
     with pytest.raises(ValueError):
         joint_masking_level(sub, 0.5, [], 0)
+
+
+def _population(rng, length, size):
+    """Up to `size` senders: a few repeated detector classes, or all distinct;
+    every sender is its own object, so grouping must compare values."""
+    classes = [(rng.uniform(0, 0.4, length), rng.uniform(0, 0.4, length))
+               for _ in range(int(rng.integers(1, 4)) if rng.random() < 0.6 else size)]
+    picks = rng.integers(len(classes), size=size) if len(classes) < size else range(size)
+    return [DetectorProfile(classes[c][0].copy(), classes[c][1].copy()) for c in picks]
+
+
+def _leaky_and_closed_subsets(rng, length):
+    closed = generate_subset(length, 3, rng)
+    # pads keeping the first pad's block 0: constant bits there, fair coins elsewhere
+    keep = (closed.pads[:, :3] == closed.pads[0, :3]).all(axis=1)
+    return [closed,
+            PadSubset(closed.pads[keep], closed.block_length, closed.num_blocks),
+            PadSubset(closed.pads[:1]),
+            PadSubset(rng.integers(0, 2, (1, length)))]
+
+
+@pytest.mark.parametrize("chunk", [leakage.LEAK_CHUNK, 100, 40, 7])
+def test_count_kernel_matches_enumeration(monkeypatch, chunk):
+    # chunks hold chunk // (2 * outcomes) channels: 100 cuts the senders-alone
+    # pass (2 outcomes) into 25-channel pieces across sender boundaries, 40
+    # cuts the 10 channels 6 + 4, 4 + 4 + 2 or 3 + 3 + 3 + 1 for one class of
+    # 2..5 senders, and 7 leaves one channel per chunk
+    monkeypatch.setattr(leakage, "LEAK_CHUNK", chunk)
+    rng = np.random.default_rng(8)
+    length = 10
+    for trial in range(12):
+        profiles = _population(rng, length, int(rng.integers(1, 13)))
+        occupancy = rng.uniform(0.05, 0.95, length)
+        occupancy[trial % length] = float(trial % 2)  # a known state leaks nothing
+        for sub in _leaky_and_closed_subsets(rng, length):
+            rep = leakage_report(sub, occupancy, profiles)
+            for ch in range(length):
+                want = reference_joint_mi(sub, occupancy[ch], profiles, ch)
+                assert rep.joint_mi[ch] == pytest.approx(want, abs=1e-12)
+                for x, prof in enumerate(profiles):
+                    alone = reference_joint_mi(sub, occupancy[ch], [prof], ch)
+                    assert rep.per_channel_mi[x, ch] == pytest.approx(alone, abs=1e-12)
+                if len(profiles) <= 5:
+                    want = oracle_joint_mi(sub, occupancy[ch], profiles, ch)
+                    assert rep.joint_mi[ch] == pytest.approx(want, abs=1e-12)
+
+
+def test_count_kernel_values_do_not_depend_on_the_chunk(monkeypatch):
+    rng = np.random.default_rng(9)
+    profiles = _population(rng, 10, 9)
+    occupancy = rng.uniform(0.05, 0.95, 10)
+    sub = _leaky_and_closed_subsets(rng, 10)[1]
+    whole = leakage_report(sub, occupancy, profiles)
+    singles = [joint_masking_level(sub, occupancy[ch], profiles, ch) for ch in range(10)]
+    assert whole.joint_mi.tolist() == singles
+    monkeypatch.setattr(leakage, "LEAK_CHUNK", 7)
+    assert np.array_equal(leakage_report(sub, occupancy, profiles).joint_mi, whole.joint_mi)
 
 
 def test_masking_level_validation():

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from otpsense import simulate
+from otpsense.leakage import masking_level
+from otpsense.protocol import PadSubset
 from otpsense.simulate import (
     Scenario,
     UserSpec,
@@ -23,6 +25,7 @@ from otpsense.simulate import (
     _spawn_streams,
     _State,
 )
+from otpsense.spectrum import stationary_occupancy
 
 
 def small_scenario(**overrides):
@@ -198,6 +201,28 @@ def test_encrypted_and_plaintext_see_identical_truth_and_noise():
     assert plain.honest_recovery_rate is None
     assert plain.mean_masking_level is None
     assert enc.mean_masking_level == 0.0
+
+
+def test_mean_masking_level_is_the_mean_of_per_channel_levels(monkeypatch):
+    # keep only the pads that share the first pad's block 0: that block then
+    # leaks, so the mean is not the trivial 0 of a closed subset
+    built = []
+
+    def restricted(sc, rng):
+        subset = build_subset(sc, rng)
+        keep = (subset.pads[:, :3] == subset.pads[0, :3]).all(axis=1)
+        built.append(PadSubset(subset.pads[keep], subset.block_length, subset.num_blocks))
+        return built[-1]
+
+    monkeypatch.setattr(simulate, "build_subset", restricted)
+    sc = small_scenario(pairs=None, phi=3, rounds=2, rate_on=[0.5] * 6 + [1.5] * 6)
+    summary = run_simulation(sc)
+    occupancy = stationary_occupancy(channel_model(sc))
+    profile = detector_profiles(sc)[_designated_recipient(sc)]
+    per = [masking_level(built[0], float(occupancy[i]), profile, i)
+           for i in range(sc.num_channels)]
+    assert summary.mean_masking_level == np.mean(per)
+    assert summary.mean_masking_level > 0
 
 
 def test_ees_success_rate_matches_uniform_guess():
