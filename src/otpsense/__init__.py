@@ -17,7 +17,6 @@ from .leakage import (
     joint_masking_level,
     leakage_report,
     masking_level,
-    masking_levels,
     xi_profile,
 )
 from .protocol import (
@@ -86,7 +85,6 @@ __all__ = [
     "joint_masking_level",
     "leakage_report",
     "masking_level",
-    "masking_levels",
     "pad_posterior",
     "pes_act",
     "persistence",

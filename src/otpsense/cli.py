@@ -21,6 +21,10 @@ import numpy as np
 
 from . import __version__, bits, leakage, output, protocol, simulate, spectrum
 
+# sender x channel cells of the mask-level table; each is a float in the
+# report and a field in the written row, about 200 bytes at peak
+MAX_MASK_CELLS = 2 ** 19
+
 
 def _add_output_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write the table to this file instead of stdout")
@@ -95,10 +99,12 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_mask_level(args) -> int:
-    # identical senders form one group of senders + 1 count outcomes
-    if not 1 <= args.senders < leakage.MAX_JOINT_OUTCOMES:
+    if args.senders < 1:
+        raise ValueError(f"--senders must be at least 1, got {args.senders}")
+    if args.senders * args.channels > MAX_MASK_CELLS:
         raise ValueError(
-            f"--senders must lie in 1..{leakage.MAX_JOINT_OUTCOMES - 1}, got {args.senders}"
+            f"--senders {args.senders} on --channels {args.channels} is a table of "
+            f"{args.senders * args.channels} cells, past the {MAX_MASK_CELLS} mask-level writes"
         )
     subset = _build_subset(args)
     profile = spectrum.DetectorProfile.homogeneous(args.channels, args.pf, args.pm)

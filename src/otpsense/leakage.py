@@ -23,6 +23,10 @@ the bit vectors.  The joint law is the outer product of the groups'
 binomial pmfs, so a homogeneous population needs n + 1 outcomes instead of
 2**n, and one where every sender differs needs 2**n as before.  The
 outcome table, prod(n_g + 1) over groups, is capped at MAX_JOINT_OUTCOMES.
+Large groups make outcome laws as small as pf**n, subnormal or zero, so the
+ratio of an outcome's two state laws is clipped to [2**-1000, 2**1000]
+before its logarithms are taken; that moves no term by more than 2**-989
+bits.
 Every quantity is computed for all channels at once by one kernel, in
 channel chunks of bounded size; `masking_level` and `joint_masking_level`
 are its one-channel views.
@@ -104,8 +108,11 @@ def _mutual_information(laws: np.ndarray, counts, occupancy: np.ndarray) -> np.n
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             # P(outcome | state) / P(outcome) as 1 / (idle + busy * ratio) and
             # 1 / (idle / ratio + busy): equal state laws give ratio 1 and
-            # idle + busy == 1 exactly, so closed subsets leak exactly 0
-            ratio = table[1] / table[0]
+            # idle + busy == 1 exactly, so closed subsets leak exactly 0.  The
+            # clip keeps both logarithms finite when one law is subnormal; it
+            # moves only terms weighted by a law below 2**-1000, by less than
+            # 2**-989 bits each
+            ratio = np.clip(table[1] / table[0], 2.0 ** -1000, 2.0 ** 1000)
             mi = (np.where(joint_idle > 0, joint_idle * -np.log2(idle + busy * ratio), 0.0)
                   + np.where(joint_busy > 0, joint_busy * -np.log2(idle / ratio + busy), 0.0))
         out[lo:hi] = mi.sum(axis=-1)
@@ -172,13 +179,6 @@ def masking_level(
         unbiased (xi == 0.5).
     """
     return joint_masking_level(subset, occupancy, [profile], channel)
-
-
-def masking_levels(subset: PadSubset, occupancy, profile: DetectorProfile) -> np.ndarray:
-    """`masking_level` on every channel, as one (M,) array; `occupancy` is a
-    scalar or a per-channel vector."""
-    occ, laws, counts, _ = _senders(subset, occupancy, [profile], slice(None))
-    return _mutual_information(laws, counts, occ)
 
 
 def joint_masking_level(

@@ -429,7 +429,8 @@ def run_simulation(sc: Scenario) -> SimulationSummary:
     masking = None
     if sc.encrypted:
         occupancy = spectrum.stationary_occupancy(model)
-        masking = float(np.mean(leakage.masking_levels(subset, occupancy, profiles[target])))
+        report = leakage.leakage_report(subset, occupancy, [profiles[target]])
+        masking = float(np.mean(report.per_channel_mi[0]))
 
     return SimulationSummary(
         scenario=sc,

@@ -74,6 +74,40 @@ def reference_joint_mi(subset, occupancy, profiles, channel):
     return max(float((joint[seen] * np.log2(joint[seen] / indep[seen])).sum()), 0.0)
 
 
+def log_domain_group_mi(subset, occupancy, groups, channel):
+    """I(state; per-group 1-bit counts) for `groups` of (profile, count),
+    every probability kept as a logarithm so that no table entry underflows
+    or overflows, however many senders."""
+    xi = float(subset.xi[channel])
+    laws = []  # per group: log P(count = k | state) for k = 0..n, per state
+    for prof, n in groups:
+        per_state = []
+        for report_one in (prof.false_alarm[channel], 1.0 - prof.miss[channel]):
+            e1 = xi * report_one + (1.0 - xi) * (1.0 - report_one)
+            per_state.append([
+                math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                + (k * math.log(e1) if k else 0.0)
+                + ((n - k) * math.log1p(-e1) if k < n else 0.0)
+                if (e1 > 0 or k == 0) and (e1 < 1 or k == n) else -math.inf
+                for k in range(n + 1)
+            ])
+        laws.append(per_state)
+    log_state = [math.log(1.0 - occupancy) if occupancy < 1 else -math.inf,
+                 math.log(occupancy) if occupancy > 0 else -math.inf]
+    terms = []
+    for ks in itertools.product(*(range(n + 1) for _, n in groups)):
+        cond = [sum(law[s][k] for law, k in zip(laws, ks)) for s in (0, 1)]
+        joint = [log_state[s] + cond[s] for s in (0, 1)]
+        top = max(joint)
+        if top == -math.inf:
+            continue
+        log_marginal = top + math.log(sum(math.exp(j - top) for j in joint))
+        for s in (0, 1):
+            if joint[s] > -math.inf:
+                terms.append(math.exp(joint[s]) * (joint[s] - log_state[s] - log_marginal))
+    return max(math.fsum(terms) / math.log(2), 0.0)
+
+
 def _mi_from_dict(joint):
     mi = 0.0
     for (state, obs), p in joint.items():
@@ -206,6 +240,27 @@ def test_joint_masking_sender_cap():
         joint_masking_level(sub, 0.5, distinct, 0)
     with pytest.raises(ValueError):
         joint_masking_level(sub, 0.5, [], 0)
+
+
+@pytest.mark.parametrize("pf, pm, n", [(1e-4, 0.1, 80), (0.03, 0.1, 210), (0.1, 1e-4, 80)])
+def test_large_groups_with_vanishing_outcome_laws(pf, pm, n):
+    # on a single pad the all-ones count has P(. | idle) = pf**n, subnormal
+    # while P(. | busy) is not; the kernel must not divide its way to inf
+    sub = PadSubset([[0, 1]])
+    profile = DetectorProfile.homogeneous(2, pf, pm)
+    other = DetectorProfile.homogeneous(2, 0.2, 0.05)
+    # the log-domain reference agrees with enumeration where that is feasible
+    assert log_domain_group_mi(sub, 0.3, [(profile, 3), (other, 2)], 1) == pytest.approx(
+        oracle_joint_mi(sub, 0.3, [profile] * 3 + [other] * 2, 1), abs=1e-12)
+    for occupancy in (0.5, 0.1, 0.97):
+        rep = leakage_report(sub, occupancy, [profile] * n + [other] * 2)
+        for ch in range(2):
+            alone = log_domain_group_mi(sub, occupancy, [(profile, 1)], ch)
+            joint = log_domain_group_mi(sub, occupancy, [(profile, n), (other, 2)], ch)
+            assert rep.per_channel_mi[0, ch] == pytest.approx(alone, abs=1e-12)
+            assert rep.joint_mi[ch] == pytest.approx(joint, abs=1e-12)
+            assert joint_masking_level(sub, occupancy, [profile] * n, ch) == pytest.approx(
+                log_domain_group_mi(sub, occupancy, [(profile, n)], ch), abs=1e-12)
 
 
 def _population(rng, length, size):
