@@ -54,23 +54,24 @@ def _outcome(ciphertext, pad, sensed: int, true_pad) -> AttackOutcome:
 
 
 def ees_act(
-    observed: list[np.ndarray],
+    observed: np.ndarray | list[np.ndarray],
     rng: np.random.Generator,
     modification: float = 0.0,
 ) -> np.ndarray:
     """Forge a contribution by replaying an observed ciphertext.
 
-    Picks uniformly among the ciphertexts observed this round and flips each
-    bit independently with probability `modification` (0 = verbatim copy).
-    Call once per recipient to forward possibly different copies.
+    Picks uniformly among the ciphertexts observed this round (a list of
+    rows or a stacked array) and flips each bit independently with
+    probability `modification` (0 = verbatim copy).  Call once per
+    recipient to forward possibly different copies.
     """
-    if not observed:
+    if len(observed) == 0:
         raise ValueError("nothing observed to copy")
     if not 0 <= modification <= 1:
         raise ValueError(f"modification must lie in [0, 1], got {modification}")
-    rows = [as_bits(c) for c in observed]
-    if len({r.size for r in rows}) != 1:
-        raise ValueError("observed ciphertexts must share one length")
+    rows = np.asarray(observed, dtype=np.uint8)  # rows of unequal length raise here
+    if rows.ndim != 2 or rows.max() > 1:
+        raise ValueError("observed ciphertexts must be bit vectors of one length")
     copy = rows[rng.integers(len(rows))].copy()
     if modification > 0:
         flips = (rng.random(copy.size) < modification).astype(np.uint8)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -65,21 +66,17 @@ def _metadata(args, extra: dict | None = None) -> dict:
     return md
 
 
-def _cmd_subset_gen(args) -> int:
+def _cmd_subset_gen(args) -> tuple[list[dict], dict]:
     subset = _build_subset(args)
     rows = [{"index": i, "pad": bits.to_string(pad)} for i, pad in enumerate(subset.pads)]
-    md = _metadata(args, {
+    return rows, _metadata(args, {
         "block_length": subset.block_length,
         "num_blocks": subset.num_blocks,
         "size": subset.size,
     })
-    text = output.write(rows, md, args.format, args.out)
-    if args.out is None:
-        sys.stdout.write(text)
-    return 0
 
 
-def _cmd_predict(args) -> int:
+def _cmd_predict(args) -> tuple[list[dict], dict]:
     if args.phi is not None:
         rows = [{
             "block_length": args.phi,
@@ -92,13 +89,10 @@ def _cmd_predict(args) -> int:
             "eta": args.eta,
             "block_length": protocol.invert_success_rate(args.p_target, args.eta),
         }]
-    text = output.write(rows, _metadata(args), args.format, args.out)
-    if args.out is None:
-        sys.stdout.write(text)
-    return 0
+    return rows, _metadata(args)
 
 
-def _cmd_mask_level(args) -> int:
+def _cmd_mask_level(args) -> tuple[list[dict], dict]:
     if args.senders < 1:
         raise ValueError(f"--senders must be at least 1, got {args.senders}")
     if args.senders * args.channels > MAX_MASK_CELLS:
@@ -109,48 +103,33 @@ def _cmd_mask_level(args) -> int:
     subset = _build_subset(args)
     profile = spectrum.DetectorProfile.homogeneous(args.channels, args.pf, args.pm)
     report = leakage.leakage_report(subset, args.p1, [profile] * args.senders)
-    text = output.write(report.rows(), _metadata(args, {"p1": args.p1}), args.format, args.out)
-    if args.out is None:
-        sys.stdout.write(text)
-    return 0
+    return report.rows(), _metadata(args, {"p1": args.p1})
 
 
-def _load_config(path: str) -> dict:
+def _load_config(args) -> tuple[dict, simulate.Scenario, dict]:
+    """Parse --config once, apply --seed, and build the output metadata."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        with open(args.config) as fh:
+            cfg = json.load(fh)
     except json.JSONDecodeError as e:
-        raise ValueError(f"{path} is not valid JSON: {e}") from e
-
-
-def _cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
+        raise ValueError(f"{args.config} is not valid JSON: {e}") from e
     sc = simulate.scenario_from_dict(cfg)
     if args.seed is not None:
-        sc = simulate.scenario_from_dict({**cfg, "seed": args.seed})
-    summary = simulate.run_simulation(sc)
-    md = _metadata(args, {"config_hash": simulate.config_hash(simulate.scenario_to_dict(sc))})
-    md["seed"] = sc.seed
-    text = output.write([summary.row()], md, args.format, args.out)
-    if args.out is None:
-        sys.stdout.write(text)
-    return 0
+        sc = replace(sc, seed=args.seed)
+    config_hash = simulate.config_hash(simulate.scenario_to_dict(sc))
+    return cfg, sc, _metadata(args, {"config_hash": config_hash, "seed": sc.seed})
 
 
-def _cmd_experiment(args) -> int:
-    cfg = _load_config(args.config)
-    sc = simulate.scenario_from_dict(cfg)
-    if args.seed is not None:
-        sc = simulate.scenario_from_dict({**cfg, "seed": args.seed})
+def _cmd_simulate(args) -> tuple[list[dict], dict]:
+    _, sc, md = _load_config(args)
+    return [simulate.run_simulation(sc).row()], md
+
+
+def _cmd_experiment(args) -> tuple[list[dict], dict]:
+    cfg, sc, md = _load_config(args)
     sweep = simulate.sweep_from_dict(cfg)
     workers = args.workers if args.workers is not None else cfg.get("workers", 1)
-    rows = simulate.run_experiment(sc, sweep, workers=workers)
-    md = _metadata(args, {"config_hash": simulate.config_hash(simulate.scenario_to_dict(sc))})
-    md["seed"] = sc.seed
-    text = output.write(rows, md, args.format, args.out)
-    if args.out is None:
-        sys.stdout.write(text)
-    return 0
+    return simulate.run_experiment(sc, sweep, workers=workers), md
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -197,10 +176,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        rows, metadata = args.fn(args)
+        text = output.write(rows, metadata, args.format, args.out)
+        if args.out is None:
+            sys.stdout.write(text)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -28,13 +28,15 @@ class FusionRule:
 
 def fuse(reports, rule: FusionRule) -> np.ndarray:
     """Combine reports (shape (n, M), one row per user) into one decision
-    vector.  Row order cannot matter: only the per-channel busy count does."""
+    vector, or each (n, M) stack of an (..., n, M) array into one row of
+    (..., M).  Row order cannot matter: only the per-channel busy count
+    along the report axis does."""
     reports = np.atleast_2d(np.asarray(reports, dtype=np.uint8))
-    if reports.shape[0] != rule.num_reports:
-        raise ValueError(f"rule expects {rule.num_reports} reports, got {reports.shape[0]}")
+    if reports.shape[-2] != rule.num_reports:
+        raise ValueError(f"rule expects {rule.num_reports} reports, got {reports.shape[-2]}")
     if reports.max(initial=0) > 1:
         raise ValueError("report entries must be 0 or 1")
-    return (reports.sum(axis=0, dtype=np.int64) >= rule.threshold).astype(np.uint8)
+    return (reports.sum(axis=-2, dtype=np.int64) >= rule.threshold).astype(np.uint8)
 
 
 @dataclass(frozen=True, eq=False)

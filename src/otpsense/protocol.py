@@ -229,17 +229,21 @@ def encrypt_report(
     subset: PadSubset,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Encrypt one report with a fresh uniformly drawn pad.
+    """Encrypt a report, or a (K, M) stack of reports, each with a fresh
+    uniformly drawn pad.  A stack draws its pads in row order, from the
+    same random numbers as K single-report calls.
 
     Returns:
-        (ciphertext, pad): both length-M uint8 vectors; ciphertext is
-        report xor pad.
+        (ciphertext, pad): uint8 arrays of the report's shape; ciphertext
+        is report xor pad.
     """
-    report = as_bits(report)
-    if report.size != subset.length:
-        raise ValueError(f"report has {report.size} bits, subset pads have {subset.length}")
-    pad = subset.pads[rng.integers(subset.size)]
-    return xor(report, pad), pad.copy()
+    report = np.asarray(report, dtype=np.uint8)
+    if report.ndim not in (1, 2) or report.shape[-1] != subset.length:
+        raise ValueError(f"report must be ({subset.length},) or (K, {subset.length}), got {report.shape}")
+    if report.max(initial=0) > 1:
+        raise ValueError("report entries must be 0 or 1")
+    pad = subset.pads[rng.integers(subset.size, size=report.shape[:-1])]
+    return report ^ pad, pad
 
 
 def decrypt(ciphertext: np.ndarray, pad: np.ndarray) -> np.ndarray:
@@ -431,12 +435,21 @@ def predict_success_rate(block_length: int, eta) -> float:
         raise ValueError(f"eta must be scalar or shape ({n},), got {eta.shape}")
     if not ((eta >= 0) & (eta <= 1)).all():
         raise ValueError("eta entries must lie in [0, 1]")
-    pmf = np.zeros(n + 1)
-    pmf[0] = 1.0
-    for i, p in enumerate(eta):
-        pmf[1:i + 2] = pmf[1:i + 2] * (1.0 - p) + pmf[:i + 1] * p
-        pmf[0] *= 1.0 - p
+    for pmf in _agreement_pmfs(eta):
+        pass
     return float(pmf[math.ceil(n / 2):].sum())
+
+
+def _agreement_pmfs(eta: np.ndarray):
+    """Yield the Poisson-binomial pmf of the agreement count over the first
+    n positions, for n = 1, ..., len(eta): one DP that adds a position per
+    step.  Each pmf is a length n + 1 view that the next step overwrites."""
+    pmf = np.zeros(eta.size + 1)
+    pmf[0] = 1.0
+    for n, p in enumerate(eta, 1):
+        pmf[1:n + 1] = pmf[1:n + 1] * (1.0 - p) + pmf[:n] * p
+        pmf[0] *= 1.0 - p
+        yield pmf[:n + 1]
 
 
 def invert_success_rate(p_target: float, eta: float, max_block: int = 10001) -> int:
@@ -459,9 +472,7 @@ def invert_success_rate(p_target: float, eta: float, max_block: int = 10001) -> 
         return 1
     if eta <= 0.5:
         raise ValueError(f"eta={eta} <= 0.5 cannot reach p_target={p_target}")
-    n = 1
-    while n <= max_block:
-        if predict_success_rate(n, eta) >= p_target:
+    for n, pmf in enumerate(_agreement_pmfs(np.full(max_block, float(eta))), 1):
+        if n % 2 and pmf[math.ceil(n / 2):].sum() >= p_target:
             return n
-        n += 2
     raise ValueError(f"no odd block length <= {max_block} reaches {p_target} at eta={eta}")

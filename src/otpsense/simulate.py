@@ -4,10 +4,12 @@ A scenario fixes the channel model, the user population (roles and detector
 profiles), the pad subset construction, the fusion rule and the horizon.
 `run_round` executes one slot in the protocol's phase order: channel
 evolution, sensing, publication, attacks, full-mesh exchange, recovery and
-decryption, fusion.  `run_simulation` loops rounds and aggregates metrics;
-`run_experiment` sweeps one or two scenario parameters, each sweep point on
-an independent random stream derived from (seed, point index), optionally on
-a process pool.
+decryption, fusion.  It works on stacked (user, channel) rows, so
+encryption, recovery and fusion are one call per round each (a pes user
+publishes with its own call).  `run_simulation` loops rounds and aggregates
+metrics; `run_experiment` sweeps one or two scenario parameters, each sweep
+point on an independent random stream derived from (seed, point index),
+optionally on a process pool.
 
 Randomness is split into named streams (channel evolution, per-user sensing,
 pad draws, attacker choices, vote tie-breaks) spawned from the scenario seed,
@@ -19,8 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields, replace
-from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -183,11 +184,12 @@ def _spawn_streams(seed: int, num_users: int) -> _Streams:
 
 @dataclass
 class _State:
-    """Mutable carry-over between rounds."""
+    """Mutable carry-over between rounds: the last round's truth, its (N, M)
+    sensing and the honest users' ciphertext rows."""
 
     truth: np.ndarray | None = None
-    prev_reports: dict[int, np.ndarray] = field(default_factory=dict)
-    prev_ciphertexts: list[np.ndarray] = field(default_factory=list)
+    sensed: np.ndarray | None = None
+    ciphertexts: np.ndarray | None = None
     round_index: int = 0
 
 
@@ -202,18 +204,21 @@ def run_round(
     """Execute one slot; mutates `state` for the next call.
 
     Phase order: channel evolution, sensing, publication (honest and
-    stale-report users first, copiers second), attack measurement against
-    the designated target, full-mesh exchange, recovery and decryption of
-    every (honest receiver, sender) pair in one `protocol.recover_pads`
-    call, per-user fusion.
+    stale-report users first, in one `protocol.encrypt_report` call;
+    copiers second), attack measurement against the designated target,
+    full-mesh exchange, recovery and decryption of every (honest receiver,
+    sender) pair in one `protocol.recover_pads` call, and one `fusion.fuse`
+    call for every honest user.
     """
     n = len(sc.users)
     m = sc.num_channels
+    roles = np.array([u.role for u in sc.users])
+    honest = np.flatnonzero(roles == "honest")
     truth = spectrum.sample_states(model, streams.channel, previous=state.truth)
 
     # sensing: every role draws a full vector from its own stream (keeps
     # streams aligned across role reassignments); pes reads only its prefix
-    sensed = [spectrum.sense(truth, profiles[i], streams.sensing[i]) for i in range(n)]
+    sensed = np.array([spectrum.sense(truth, profiles[i], streams.sensing[i]) for i in range(n)])
 
     reports = np.zeros((n, m), dtype=np.uint8)
     ciphertexts = np.zeros((n, m), dtype=np.uint8)
@@ -224,58 +229,42 @@ def run_round(
     attacks: dict[int, adversary.AttackOutcome] = {}
 
     target = _designated_recipient(sc)
-    attack_round = state.round_index % 2 == 1
 
-    def publish(i: int, report: np.ndarray) -> None:
-        reports[i] = report
-        pad_known[i] = True
+    def publish(who, report: np.ndarray) -> None:
+        reports[who] = report
+        pad_known[who] = True
         if sc.encrypted:
-            ciphertexts[i], pads[i] = protocol.encrypt_report(report, subset, streams.pads)
+            ciphertexts[who], pads[who] = protocol.encrypt_report(report, subset, streams.pads)
         else:
-            ciphertexts[i] = report
+            ciphertexts[who] = report
 
-    # phase 1: users that have something of their own to publish
-    copiers = []
-    for i, u in enumerate(sc.users):
-        if u.role == "honest":
-            publish(i, sensed[i])
-        elif u.role == "history":
-            stale = state.prev_reports.get(i)
-            if attack_round and stale is not None:
-                publish(i, stale)
-            else:
-                publish(i, sensed[i])
-        else:
-            copiers.append(i)
+    # phase 1: users with a report of their own publish it, all in one call;
+    # on odd rounds history users replay last round's sensing
+    history = roles == "history"
+    stale = state.sensed if state.round_index % 2 == 1 else None
+    own = np.flatnonzero((roles == "honest") | history)
+    published = sensed if stale is None else np.where(history[:, None], stale, sensed)
+    publish(own, published[own])
 
-    honest_idx = [i for i, u in enumerate(sc.users) if u.role == "honest"]
-    observable = (
-        state.prev_ciphertexts
-        if sc.ees_copy_previous_round and state.prev_ciphertexts
-        else [ciphertexts[i] for i in honest_idx]
-    )
-    provenance = (
-        None if sc.ees_copy_previous_round and state.prev_ciphertexts
-        else honest_idx
-    )
+    copy_previous = sc.ees_copy_previous_round and state.ciphertexts is not None
+    observable = state.ciphertexts if copy_previous else ciphertexts[honest]
 
     # phase 2: copiers (ees forwards a copy, pes fills its gaps by cracking)
-    for i in copiers:
-        u = sc.users[i]
+    for i, u in enumerate(sc.users):
         if u.role == "ees":
             forged = adversary.ees_act(observable, streams.attacker, sc.ees_modification)
             ciphertexts[i] = forged
-            if provenance is not None and sc.ees_modification == 0.0:
+            if not copy_previous and sc.ees_modification == 0.0:
                 # verbatim intra-round copy: provenance is whichever honest
                 # ciphertext it equals (content, hence pad, is inherited)
-                src = next(j for j in provenance if np.array_equal(ciphertexts[j], forged))
+                src = honest[(observable == forged).all(axis=1).argmax()]
                 reports[i] = reports[src]
                 if sc.encrypted:
                     pads[i] = pads[src]
                     pad_known[i] = True
             elif not sc.encrypted:
                 reports[i] = forged
-        else:  # pes
+        elif u.role == "pes":
             mask = np.arange(u.sensed_channels)
             partial = np.zeros(m, dtype=np.uint8)
             partial[mask] = sensed[i][mask]
@@ -298,16 +287,15 @@ def run_round(
                 attacks[i] = adversary.ees_decode_attempt(
                     ciphertexts[target], subset, streams.attacker, true_pad=pads[target]
                 )
-            elif u.role == "history" and attack_round and i in state.prev_reports:
+            elif u.role == "history" and stale is not None:
                 attacks[i] = adversary.history_act(
-                    state.prev_reports[i], ciphertexts[target], subset,
+                    stale[i], ciphertexts[target], subset,
                     streams.attacker, true_pad=pads[target],
                 )
 
     # phase 4: full-mesh exchange, every honest user receiving from every
     # other user; pairs run receiver-major, then sender, which is the order
     # tie-breaks are drawn from streams.ties
-    honest = np.asarray(honest_idx)
     pair_h, senders = np.nonzero(honest[:, None] != np.arange(n))
     receivers = honest[pair_h]
     received = ciphertexts[senders]
@@ -320,22 +308,18 @@ def run_round(
         known = pad_known[senders]
         recovery = np.full((n, n), np.nan)
         recovery[receivers[known], senders[known]] = (got[known] == pads[senders[known]]).all(axis=1)
-    plain = received.reshape(len(honest_idx), n - 1, m)
 
-    # phase 6: per-user fusion
-    decisions: dict[int, np.ndarray] = {}
-    for h, r in enumerate(honest_idx):
-        rows = np.concatenate([reports[r][None], plain[h]]) if sc.include_self else plain[h]
-        rule = (
-            fusion.FusionRule(sc.fusion_threshold, len(rows))
-            if sc.fusion_threshold is not None
-            else fusion.FusionRule.majority(len(rows))
-        )
-        decisions[r] = fusion.fuse(rows, rule)
+    # phase 6: one rule and one fusion call for every honest user
+    plain = received.reshape(len(honest), n - 1, m)
+    if sc.include_self:
+        plain = np.concatenate([reports[honest, None], plain], axis=1)
+    rule = (fusion.FusionRule.majority(plain.shape[1]) if sc.fusion_threshold is None
+            else fusion.FusionRule(sc.fusion_threshold, plain.shape[1]))
+    decisions = dict(zip(honest.tolist(), fusion.fuse(plain, rule)))
 
     state.truth = truth
-    state.prev_reports = {i: sensed[i] for i, u in enumerate(sc.users) if u.role == "history"}
-    state.prev_ciphertexts = [ciphertexts[i].copy() for i in honest_idx]
+    state.sensed = sensed
+    state.ciphertexts = ciphertexts[honest]
     state.round_index += 1
     return RoundResult(
         truth=truth,
@@ -504,8 +488,9 @@ def run_experiment(
     Every point runs `run_simulation` on a seed derived from (scenario seed,
     point index), so results are reproducible and independent of `workers`
     (at least 1; more than the point count runs one process per point).
-    Every point's scenario is built, and so checked, before any point runs.
-    Rows come back in point order.
+    Every point's scenario, channel model, detector profiles and pad subset
+    are built, and so checked, before any point runs.  Rows come back in
+    point order.
     """
     if not 1 <= len(sweep) <= 2:
         raise ValueError("sweep must name one or two parameters")
@@ -528,8 +513,16 @@ def run_experiment(
         for i, a in enumerate(assignments)
     ]
 
+    for point, _ in tasks:
+        # what run_simulation builds before round 1, on a throwaway copy of its streams
+        channel_model(point)
+        detector_profiles(point)
+        if point.encrypted:
+            build_subset(point, _spawn_streams(point.seed, len(point.users)).subset)
+
     workers = min(workers, len(tasks))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_point, tasks))
     else:

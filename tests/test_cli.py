@@ -153,6 +153,29 @@ def test_simulate_seed_override_changes_hash(tmp_path, capsys):
     assert "# seed: 2" in overridden
 
 
+@pytest.mark.parametrize("command", ["simulate", "experiment"])
+def test_seed_override_still_checks_the_config(tmp_path, capsys, command):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"seed": "x", "sweep": [{"param": "pairs", "values": [1]}]}))
+    code, out, err = run_cli(capsys, command, "--config", str(path), "--seed", "2")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "seed" in err
+
+
+def test_experiment_rejects_a_bad_sweep_point_before_any_round(tmp_path, capsys, monkeypatch):
+    def no_round(*args):
+        raise AssertionError("a round ran before every sweep point was checked")
+
+    monkeypatch.setattr(simulate, "run_round", no_round)
+    cfg = {"rate_on": [50.0] * 8, "rounds": 3000, "num_channels": 8,
+           "sweep": [{"param": "channels", "values": [8, 4]}]}
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, "experiment", "--config", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "rate_on" in err
+
+
 def test_simulate_rejects_unknown_config_key(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"bandwidth": 10}))

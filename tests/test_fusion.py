@@ -44,6 +44,23 @@ def test_fuse_validation():
         FusionRule(threshold=4, num_reports=3)
 
 
+def test_fuse_stack_matches_per_user_calls():
+    rng = np.random.default_rng(4)
+    own = rng.integers(0, 2, size=(4, 9), dtype=np.uint8)
+    received = rng.integers(0, 2, size=(4, 5, 9), dtype=np.uint8)
+    for include_self in (True, False):
+        stack = np.concatenate([own[:, None], received], axis=1) if include_self else received
+        n = stack.shape[1]
+        for rule in (FusionRule.majority(n), FusionRule(2, n), FusionRule(n, n)):
+            fused = fuse(stack, rule)
+            assert fused.shape == (4, 9)
+            assert np.array_equal(fused, np.stack([fuse(rows, rule) for rows in stack]))
+    with pytest.raises(ValueError):
+        fuse(received, FusionRule.majority(6))  # 5 reports per user, not 6
+    with pytest.raises(ValueError):
+        fuse(np.full((4, 5, 9), 2), FusionRule.majority(5))
+
+
 def test_fused_false_alarm_matches_binomial_tail():
     # 5 independent detectors, pf = 0.1, majority 3: tail = 0.00856
     rng = np.random.default_rng(0)

@@ -7,6 +7,7 @@ values frozen in the asserts.
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -215,6 +216,28 @@ def test_encrypt_draws_pad_from_subset():
     assert len(seen) == sub.size  # all four pads appear across draws
     with pytest.raises(ValueError):
         encrypt_report(np.zeros(5, dtype=np.uint8), sub, rng)
+
+
+@pytest.mark.parametrize("build", [
+    lambda rng: generate_subset(13, 4, rng),
+    lambda rng: generate_pairs(13, 3, rng),
+])
+def test_encrypt_stack_matches_per_row_calls(build):
+    rng = np.random.default_rng(8)
+    sub = build(rng)
+    for k in (1, 7):
+        reports = rng.integers(0, 2, size=(k, 13), dtype=np.uint8)
+        stacked_rng, row_rng = np.random.default_rng(k), np.random.default_rng(k)
+        cipher, pads = encrypt_report(reports, sub, stacked_rng)
+        rows = [encrypt_report(report, sub, row_rng) for report in reports]
+        assert cipher.shape == pads.shape == (k, 13)
+        assert np.array_equal(cipher, np.stack([c for c, _ in rows]))
+        assert np.array_equal(pads, np.stack([p for _, p in rows]))
+        assert stacked_rng.bit_generator.state == row_rng.bit_generator.state
+    for bad in (np.zeros((3, 12)), np.zeros(14), np.zeros((2, 3, 13)), np.zeros(()),
+                np.full((2, 13), 2)):
+        with pytest.raises(ValueError):
+            encrypt_report(bad, sub, rng)
 
 
 def test_xor_roundtrip_exhaustive_small():
@@ -544,6 +567,35 @@ def test_invert_success_rate_frozen_values():
     assert invert_success_rate(0.999, 0.82) == 19
     assert invert_success_rate(0.995, 0.82) == 13
     assert invert_success_rate(0.5, 0.82) == 1  # already at one bit
+
+
+def reference_invert(p_target, eta, max_block=10001):
+    """The search before the shared DP: a fresh predict_success_rate per odd width."""
+    for n in range(1, max_block + 1, 2):
+        if predict_success_rate(n, eta) >= p_target:
+            return n
+    raise ValueError("max_block exceeded")
+
+
+def test_invert_matches_per_width_search():
+    for p_target in (0.6, 0.83, 0.9, 0.95, 0.99, 0.999, 0.9999):
+        for eta in (0.6, 0.7, 0.82, 0.9, 0.97):
+            assert invert_success_rate(p_target, eta) == reference_invert(p_target, eta)
+    for max_block in (1, 2, 11, 12):
+        with pytest.raises(ValueError):
+            reference_invert(0.9999, 0.6, max_block)
+        with pytest.raises(ValueError):
+            invert_success_rate(0.9999, 0.6, max_block)
+    assert invert_success_rate(0.9, 0.82, max_block=3) == 3
+
+
+def test_invert_near_coin_agreement_runs_one_dp():
+    # one fresh DP per odd width took minutes at these rates
+    start = time.perf_counter()
+    assert invert_success_rate(0.999, 0.52) == 5965
+    with pytest.raises(ValueError, match="no odd block length"):
+        invert_success_rate(0.999, 0.51)
+    assert time.perf_counter() - start < 5.0
 
 
 def test_invert_is_minimal_odd():

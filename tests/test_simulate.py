@@ -1,10 +1,16 @@
 """Scenario plumbing and round engine behaviour."""
 
+import concurrent.futures
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from otpsense import simulate
+from otpsense.fusion import FusionRule, fuse
 from otpsense.leakage import masking_level
 from otpsense.protocol import PadSubset
 from otpsense.simulate import (
@@ -136,6 +142,23 @@ def test_round_plaintext_shares_reports():
     rr, _ = run_one_round(small_scenario(encrypted=False))
     assert rr.pads is None and rr.recovery_success is None
     assert np.array_equal(rr.ciphertexts, rr.reports)
+
+
+def test_round_fuses_each_honest_user_like_a_per_user_call():
+    users = (UserSpec(), UserSpec(role="ees"), UserSpec(false_alarm=0.3), UserSpec())
+    for include_self in (True, False):
+        for threshold in (None, 2):
+            sc = small_scenario(users=users, encrypted=False, include_self=include_self,
+                                fusion_threshold=threshold)
+            rr, _ = run_one_round(sc)
+            assert set(rr.decisions) == {0, 2, 3}
+            for r, decision in rr.decisions.items():
+                rows = [rr.ciphertexts[s] for s in range(4) if s != r]
+                if include_self:
+                    rows = [rr.reports[r]] + rows
+                rule = (FusionRule(threshold, len(rows)) if threshold is not None
+                        else FusionRule.majority(len(rows)))
+                assert np.array_equal(decision, fuse(np.stack(rows), rule))
 
 
 def test_recovery_matrix_excludes_self():
@@ -308,8 +331,19 @@ def test_run_experiment_validation():
 def test_run_experiment_rejects_a_bad_point_before_running_any(monkeypatch):
     ran = []
     monkeypatch.setattr(simulate, "run_simulation", lambda sc: ran.append(sc))
-    with pytest.raises(ValueError, match="selfish"):
-        run_experiment(small_scenario(), [("selfish", [0, 1, 3])])
+    cases = [
+        (small_scenario(), [("selfish", [0, 1, 3])], "selfish"),
+        # per-channel rates that fit only the first point's band
+        (small_scenario(rate_on=(50.0,) * 12), [("channels", [12, 6])], "rate_on"),
+        (small_scenario(), [("phi", [3, 0])], "block_length"),
+        (small_scenario(), [("pairs", [1, 5000])], "pairs"),
+        # p_target against an honest pair that agrees less often than a coin
+        (small_scenario(p_target=0.9, users=(UserSpec(), UserSpec(false_alarm=0.6, miss=0.6))),
+         [("rounds", [4, 8])], "eta"),
+    ]
+    for sc, sweep, word in cases:
+        with pytest.raises(ValueError, match=word):
+            run_experiment(sc, sweep)
     assert ran == []
 
 
@@ -329,11 +363,18 @@ def test_run_experiment_clamps_workers_to_points(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(simulate, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     sc = small_scenario(rounds=4)
     sweep = [("pairs", [1, 2])]
     assert run_experiment(sc, sweep, workers=8) == run_experiment(sc, sweep, workers=1)
     assert pools == [2]
+
+
+def test_importing_the_package_leaves_the_process_pool_unloaded():
+    code = "import sys, otpsense.cli; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "False"
 
 
 def test_point_seeds_differ_across_points():
