@@ -91,7 +91,7 @@ def ees_decode_attempt(
     ciphertext = as_bits(ciphertext)
     if ciphertext.size != subset.length:
         raise ValueError(f"ciphertext has {ciphertext.size} bits, subset pads {subset.length}")
-    pad = subset.pads[rng.integers(subset.size)].copy()
+    pad = subset.draw(rng)
     return _outcome(ciphertext, pad, 0, true_pad)
 
 

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands:
-    subset-gen   materialize a pad subset and print its pads
+    subset-gen   list the pads of a subset (a generated subset is stored as
+                 its description; this is the one place its pads are listed)
     predict      recovery success rate for a block length, or invert a target
     mask-level   exact leakage table for a subset and sender population
     simulate     run one scenario from a JSON config file
@@ -25,6 +26,10 @@ from . import __version__, bits, leakage, output, protocol, simulate, spectrum
 # sender x channel cells of the mask-level table; each is a float in the
 # report and a field in the written row, about 200 bytes at peak
 MAX_MASK_CELLS = 2 ** 19
+
+# pads subset-gen lists: a generated subset of b blocks has 2**b of them,
+# so up to 16 blocks fit
+MAX_SUBSET_ROWS = 2 ** 16
 
 
 def _add_output_args(p: argparse.ArgumentParser) -> None:
@@ -67,7 +72,17 @@ def _metadata(args, extra: dict | None = None) -> dict:
 
 
 def _cmd_subset_gen(args) -> tuple[list[dict], dict]:
+    def check_rows(size: int) -> None:
+        if size > MAX_SUBSET_ROWS:
+            raise ValueError(
+                f"the subset has {size} pads, past the {MAX_SUBSET_ROWS} rows subset-gen writes"
+            )
+
+    # a pair subset draws its rows as it is built, a generated one only when listed
+    if args.pairs is not None:
+        check_rows(2 * args.pairs)
     subset = _build_subset(args)
+    check_rows(subset.size)
     rows = [{"index": i, "pad": bits.to_string(pad)} for i, pad in enumerate(subset.pads)]
     return rows, _metadata(args, {
         "block_length": subset.block_length,
@@ -139,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("subset-gen", help="materialize a pad subset")
+    p = sub.add_parser("subset-gen", help="list the pads of a subset")
     _add_subset_args(p)
     _add_output_args(p)
     p.set_defaults(fn=_cmd_subset_gen)

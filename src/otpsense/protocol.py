@@ -15,8 +15,12 @@ Subsets come in two flavours:
   picks, per block, either the base block or its complement; cardinality
   2**num_blocks.  Any two members differ in at least block_length positions
   (block_length sized votes), and the per-block recovery success rate is
-  `predict_success_rate(block_length, eta)`.
-* `generate_pairs`: independent random complement pairs, no block structure.
+  `predict_success_rate(block_length, eta)`.  The subset is stored as that
+  description (base pad plus block geometry), not as its rows: votes and
+  draws work block by block, and `PadSubset.pads` lists the rows only when
+  read.
+* `generate_pairs`: independent random complement pairs, no block structure,
+  stored as explicit rows and scored against every row.
 
 Both are closed under bitwise complement, which is what makes the published
 ciphertext carry zero information about the channel states (every bit of a
@@ -44,12 +48,12 @@ import numpy as np
 from .bits import as_bits, complement, random_bits, xor
 from .spectrum import DetectorProfile
 
-# generate_subset materializes all 2**num_blocks pads; block counts past this
-# would not fit in memory and the large-M experiments use pair subsets anyway.
-MAX_BLOCKS = 16
-
 # entries per float temporary (signed targets, scores) in `recover_pads`
 SCORE_CHUNK = 2 ** 15
+
+# binary digits of the widest uniform rank one `rng.integers` call draws;
+# wider ranks are drawn in chunks (see `_draw_digits`)
+RANK_BITS = 62
 
 
 def generate_pad(length: int, rng: np.random.Generator) -> np.ndarray:
@@ -63,21 +67,49 @@ def _sort_rows(pads: np.ndarray) -> np.ndarray:
     return pads[order]
 
 
+def _digits(ranks: np.ndarray, count: int) -> np.ndarray:
+    """Binary digits of integer ranks, most significant first: (..., count) uint8."""
+    return ((ranks[..., None] >> np.arange(count - 1, -1, -1)) & 1).astype(np.uint8)
+
+
+def _draw_digits(rng: np.random.Generator, count: int, shape: tuple = ()) -> np.ndarray:
+    """Digits of uniform ranks over 2**count, shape (*shape, count).  Up to
+    RANK_BITS digits this is one `rng.integers(2**count, size=shape)` call;
+    a wider rank is drawn row by row in RANK_BITS-digit chunks, most
+    significant chunk first."""
+    if count <= RANK_BITS:
+        return _digits(np.asarray(rng.integers(1 << count, size=shape)), count)
+    chunks = [min(RANK_BITS, count - lo) for lo in range(0, count, RANK_BITS)]
+    rows = [np.concatenate([_draw_digits(rng, c) for c in chunks]) for _ in range(math.prod(shape))]
+    return np.array(rows, dtype=np.uint8).reshape(*shape, count)
+
+
 @dataclass(frozen=True, eq=False)
 class PadSubset:
     """Public pad subset plus its block geometry.
 
+    A subset from `generate_subset` is stored as its description: a base pad
+    whose blocks may each be kept or complemented, standing for all
+    2**num_blocks such pads without listing them.  Draws and votes work
+    block by block on it.  Any other subset is the explicit rows given to
+    the constructor.
+
     Attributes:
         pads: read-only uint8 array of shape (size, length), rows distinct
-            and in canonical sorted order.
+            and in canonical sorted order.  A described subset lists its
+            pads only when this is first read.
         block_length: vote-block width the subset was built for.
         num_blocks: number of blocks; block_length * num_blocks is the
             virtual (padded) report length, >= length.
+        length: pad length M.
+        base_pad: read-only (padded_length,) base pad of a described
+            subset; None for explicit pads.
     """
 
-    pads: np.ndarray
     block_length: int
     num_blocks: int
+    length: int
+    base_pad: np.ndarray | None
 
     def __init__(self, pads, block_length: int | None = None, num_blocks: int = 1):
         pads = np.atleast_2d(np.asarray(pads, dtype=np.uint8))
@@ -96,17 +128,23 @@ class PadSubset:
             raise ValueError("subset pads must be distinct")
         # derived arrays below are cached on first use, so the pads must not change
         pads.flags.writeable = False
-        object.__setattr__(self, "pads", pads)
-        object.__setattr__(self, "block_length", int(block_length))
-        object.__setattr__(self, "num_blocks", int(num_blocks))
+        # explicit pads fill the lazy `pads` property up front
+        self.__dict__.update(pads=pads, block_length=int(block_length), num_blocks=int(num_blocks),
+                             length=pads.shape[1], base_pad=None)
+
+    @classmethod
+    def _described(cls, base_pad: np.ndarray, length: int, block_length: int) -> PadSubset:
+        """The product subset of a (padded-length) base pad, which it owns."""
+        subset = object.__new__(cls)
+        base_pad.flags.writeable = False
+        subset.__dict__.update(block_length=int(block_length),
+                               num_blocks=base_pad.size // block_length,
+                               length=int(length), base_pad=base_pad)
+        return subset
 
     @property
     def size(self) -> int:
-        return self.pads.shape[0]
-
-    @property
-    def length(self) -> int:
-        return self.pads.shape[1]
+        return 1 << self.num_blocks if self.base_pad is not None else self.pads.shape[0]
 
     @property
     def padded_length(self) -> int:
@@ -123,20 +161,51 @@ class PadSubset:
         return np.arange(lo, hi)
 
     @functools.cached_property
+    def pads(self) -> np.ndarray:
+        # reached by described subsets only; pad i of the canonical order
+        # picks, per block, the alternative whose first bit is i's digit
+        pads = self._from_digits(_digits(np.arange(self.size), self.num_blocks))
+        pads.flags.writeable = False
+        return pads
+
+    def _from_digits(self, digits: np.ndarray) -> np.ndarray:
+        """Pads of a described subset from (..., num_blocks) digits: each
+        block takes the base block or its complement, whichever starts with
+        its digit.  In the canonical order the rank whose binary digits these
+        are (most significant first) is the pad's index."""
+        flips = digits ^ self.base_pad[::self.block_length]
+        return self.base_pad[:self.length] ^ np.repeat(flips, self.block_length, axis=-1)[..., :self.length]
+
+    def draw(self, rng: np.random.Generator, shape: tuple = ()) -> np.ndarray:
+        """Uniformly drawn pads, shape (*shape, length), as a new array: the
+        pads at ranks `rng.integers(size, size=shape)` of the canonical
+        order (see `_draw_digits` past RANK_BITS blocks)."""
+        if self.base_pad is None:
+            return self.pads[rng.integers(self.size, size=shape)]
+        return self._from_digits(_draw_digits(rng, self.num_blocks, shape))
+
+    @functools.cached_property
     def xi(self) -> np.ndarray:
         """Read-only (length,) probability that a uniformly drawn pad bit is
         zero, per position."""
-        xi = 1.0 - self.pads.mean(axis=0)
+        if self.base_pad is not None:
+            xi = np.full(self.length, 0.5)  # each block is the base block in half the pads
+        else:
+            xi = 1.0 - self.pads.mean(axis=0)
         xi.flags.writeable = False
         return xi
 
     @functools.cached_property
-    def _unit_vote(self) -> tuple[np.ndarray, np.ndarray]:
-        """Unit vote weights and the (length, size) table of 2*pad - 1.
-        Unit scores are integers of magnitude <= padded_length, which
-        float32 holds exactly below 2**24."""
+    def _unit_weights(self) -> np.ndarray:
+        """Unit vote weights.  Unit scores are integers of magnitude <=
+        padded_length, which float32 holds exactly below 2**24."""
         dtype = np.float32 if self.padded_length < 2 ** 24 else np.float64
-        return _vote_weights(self, None).astype(dtype), _signed(self.pads.T, dtype)
+        return _vote_weights(self, None).astype(dtype)
+
+    @functools.cached_property
+    def _unit_vote(self) -> tuple[np.ndarray, np.ndarray]:
+        """Unit vote weights and the (length, size) table of 2*pad - 1."""
+        return self._unit_weights, _signed(self.pads.T, self._unit_weights.dtype)
 
     @functools.cached_property
     def _signed_pads(self) -> np.ndarray:
@@ -162,32 +231,25 @@ def generate_subset(
     Starts from a random base pad and its complement and takes every per-block
     mix of the two.  `base_pad`, when given, must already have the padded
     length block_length * ceil(length / block_length); pads are truncated back
-    to `length` bits.
+    to `length` bits.  The subset is stored as this description, so its
+    2**num_blocks pads cost nothing until `.pads` is read.
 
     Raises:
-        ValueError: block_length outside [1, length], or more than MAX_BLOCKS
-            blocks (the subset would have > 2**MAX_BLOCKS members).
+        ValueError: length < 1, block_length outside [1, length], or a
+            base_pad of the wrong length or with entries other than 0 and 1.
     """
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
     if not 1 <= block_length <= length:
         raise ValueError(f"block_length must be in [1, {length}], got {block_length}")
-    num_blocks = -(-length // block_length)
-    if num_blocks > MAX_BLOCKS:
-        raise ValueError(
-            f"{num_blocks} blocks would give 2**{num_blocks} pads; refusing past {MAX_BLOCKS}"
-        )
-    padded = block_length * num_blocks
+    padded = block_length * -(-length // block_length)
     if base_pad is None:
         base_pad = random_bits(padded, rng)
     else:
-        base_pad = as_bits(base_pad)
+        base_pad = as_bits(base_pad).copy()
         if base_pad.size != padded:
             raise ValueError(f"base_pad must have padded length {padded}, got {base_pad.size}")
-    # pad i flips block b of the base pad (takes its complement) when bit b of i is set
-    flips = (np.arange(1 << num_blocks)[:, None] >> np.arange(num_blocks)).astype(np.uint8) & 1
-    pads = base_pad ^ np.repeat(flips, block_length, axis=1)
-    return PadSubset(pads[:, :length], block_length, num_blocks)
+    return PadSubset._described(base_pad, length, block_length)
 
 
 def widen_block(length: int, block_length: int, omega: float) -> int:
@@ -242,7 +304,7 @@ def encrypt_report(
         raise ValueError(f"report must be ({subset.length},) or (K, {subset.length}), got {report.shape}")
     if report.max(initial=0) > 1:
         raise ValueError("report entries must be 0 or 1")
-    pad = subset.pads[rng.integers(subset.size, size=report.shape[:-1])]
+    pad = subset.draw(rng, report.shape[:-1])
     return report ^ pad, pad
 
 
@@ -276,6 +338,32 @@ def _signed(bits: np.ndarray, dtype) -> np.ndarray:
     return out
 
 
+def _vote_blocks(
+    targets: np.ndarray,
+    subset: PadSubset,
+    weights: np.ndarray,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """`recover_pads` on a described subset: a sign test per block."""
+    base = subset.base_pad[:subset.length].view(bool)
+    starts = np.arange(0, subset.length, subset.block_length)
+    # a block's margin is the weight agreeing with the base block minus the
+    # weight agreeing with its complement: the block's whole weight, less
+    # twice the weight of the target bits that differ from the base pad
+    whole, lost = np.add.reduceat(weights, starts), -2 * weights
+    digits = np.empty((targets.shape[0], subset.num_blocks), dtype=np.uint8)
+    tied = np.empty(digits.shape, dtype=bool)
+    step = max(1, SCORE_CHUNK // subset.length)
+    for lo in range(0, targets.shape[0], step):
+        margins = whole + np.add.reduceat((targets[lo:lo + step] ^ base) * lost, starts, axis=1)
+        digits[lo:lo + step] = subset.base_pad[::subset.block_length] ^ (margins < 0)
+        tied[lo:lo + step] = margins == 0
+    for k in np.flatnonzero(tied.any(axis=1)):
+        blocks = np.flatnonzero(tied[k])
+        digits[k, blocks] = _draw_digits(rng, blocks.size)
+    return subset._from_digits(digits)
+
+
 def recover_pads(
     own_reports: np.ndarray,
     ciphertexts: np.ndarray,
@@ -289,17 +377,32 @@ def recover_pads(
     For row k, each candidate pad scores the weights of the positions where
     it agrees with own_reports[k] xor ciphertexts[k]; the best-scoring pad
     wins.  Ties are broken row by row, in row order, with
-    `rng.choice(tied pad indices)`; rows without a tie draw nothing.  Unit
-    weights count votes and log odds log(eta/(1-eta)) give the likelihood
-    vote.  A voter gives zero weight to positions it did not observe: every
-    alternative of an unobserved block then ties, and over a product subset
-    the one draw among tied pads is a fair choice per such block.
+    `rng.choice(tied pad indices)` over the canonical order; rows without a
+    tie draw nothing.  Unit weights count votes and log odds
+    log(eta/(1-eta)) give the likelihood vote.  A voter gives zero weight to
+    positions it did not observe: every alternative of an unobserved block
+    then ties, and over a product subset the one draw among tied pads is a
+    fair choice per such block.
 
-    Writing the target bits t and pad bits p as signs 2t-1 and 2p-1, the
-    weighted agreement is (sum(w) + sum(w * (2t-1) * (2p-1))) / 2, so every
-    row's scores come from one matrix product against the subset's signed
-    pads.  Unit-weight scores are exact integers in float32; given weights
-    run in float64.
+    The kernel follows how the subset is stored:
+
+    * A described subset is a product over blocks, so the best pad takes,
+      per block, the base block or its complement, whichever the block's
+      weight agrees with more: O(K*M) per call, in float32 for unit
+      weights.  An even split ties the block.  A row's t tied pads differ
+      only on its tied blocks, so the tie draw is one rank
+      `rng.integers(2**t)` whose digits, most significant first, give each
+      tied block the alternative starting with that digit (past RANK_BITS
+      tied blocks, see `_draw_digits`).
+    * Explicit pads: writing the target bits t and pad bits p as signs 2t-1
+      and 2p-1, the weighted agreement is
+      (sum(w) + sum(w * (2t-1) * (2p-1))) / 2, so every row's scores come
+      from one matrix product against the subset's signed pads.  Unit-weight
+      scores are exact integers in float32; given weights run in float64.
+
+    Both kernels give the same pads and consume `rng` alike where sums are
+    exact (unit or 0/1 weights); given real weights they are summed in
+    another order, so near-ties may resolve differently.
 
     Args:
         own_reports: (K, M) receivers' own sensing reports for the slot.
@@ -321,11 +424,14 @@ def recover_pads(
         )
     if np.bitwise_or(own, cipher).max(initial=0) > 1:
         raise ValueError("report and ciphertext entries must be 0 or 1")
+    targets = np.bitwise_xor(own, cipher).view(bool)
+    if subset.base_pad is not None:
+        w = subset._unit_weights if weights is None else _vote_weights(subset, weights)
+        return _vote_blocks(targets, subset, w, rng)
     if weights is None:
         weights, signed_pads = subset._unit_vote
     else:
         weights, signed_pads = _vote_weights(subset, weights), subset._signed_pads
-    targets = np.bitwise_xor(own, cipher).view(bool)
     picks = np.empty(targets.shape[0], dtype=np.intp)
     step = max(1, SCORE_CHUNK // max(subset.size, subset.length))
     for lo in range(0, targets.shape[0], step):

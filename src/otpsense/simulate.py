@@ -130,7 +130,7 @@ def detector_profiles(sc: Scenario) -> list[spectrum.DetectorProfile]:
 
 
 def build_subset(sc: Scenario, rng: np.random.Generator) -> protocol.PadSubset:
-    """Materialize the scenario's pad subset (see Scenario precedence)."""
+    """Build the scenario's pad subset (see Scenario precedence)."""
     if sc.p_target is not None:
         profiles = detector_profiles(sc)
         honest = [p for p, u in zip(profiles, sc.users) if u.role == "honest"]

@@ -38,6 +38,23 @@ def test_subset_gen_worked_example(capsys):
         assert "".join(flip[c] for c in p) in pads
 
 
+def test_subset_gen_row_cap(capsys, monkeypatch):
+    code, out, err = run_cli(capsys, "subset-gen", "--channels", "16", "--phi", "1")
+    assert code == 0 and err == ""
+    body = [l for l in out.splitlines() if not l.startswith("#")]
+    assert len(body) == 1 + cli.MAX_SUBSET_ROWS == 1 + 65536
+    # 17 one-bit blocks are refused before a pad is listed
+    monkeypatch.setattr(cli.protocol.PadSubset, "pads", None)
+    code, out, err = run_cli(capsys, "subset-gen", "--channels", "17", "--phi", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "131072 pads" in err
+    # so is a pair subset past the cap, before any pair is drawn
+    monkeypatch.setattr(cli.protocol, "generate_pairs", None)
+    code, out, err = run_cli(capsys, "subset-gen", "--channels", "100", "--pairs", "32769")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "65538 pads" in err
+
+
 def test_subset_gen_requires_one_construction(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["subset-gen", "--channels", "4"])
@@ -92,6 +109,16 @@ def test_mask_level_many_identical_senders(capsys):
     rows = [json.loads(l) for l in out.strip().split("\n")[1:]]
     assert len(rows) == 6 and all(len(row) == 3 + 64 for row in rows)
     assert all(row["joint_mi"] == 0.0 for row in rows)
+
+
+def test_mask_level_on_many_blocks(capsys):
+    # 20 blocks, 2**20 pads: leakage reads the subset's per-channel xi only
+    code, out, err = run_cli(capsys, "mask-level", "--channels", "100", "--phi", "5",
+                             "--format", "json-lines")
+    assert code == 0 and err == ""
+    rows = [json.loads(l) for l in out.strip().split("\n")[1:]]
+    assert len(rows) == 100
+    assert all(row["joint_mi"] == 0.0 and row["xi"] == 0.5 for row in rows)
 
 
 @pytest.mark.parametrize("senders", ["0", "-1"])

@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 
 from otpsense import protocol
+from otpsense.adversary import ees_decode_attempt
 from otpsense.bits import as_bits, complement, random_bits
 from otpsense.leakage import xi_profile
 from otpsense.protocol import (
-    MAX_BLOCKS,
+    RANK_BITS,
     SCORE_CHUNK,
     PadSubset,
     agreement_probability,
@@ -172,8 +173,6 @@ def test_subset_validation():
     with pytest.raises(ValueError):
         generate_subset(4, 5, rng)
     with pytest.raises(ValueError):
-        generate_subset(MAX_BLOCKS + 1, 1, rng)  # too many blocks
-    with pytest.raises(ValueError):
         generate_subset(4, 2, rng, base_pad=[1, 0, 0])  # wrong base length
     with pytest.raises(ValueError):
         PadSubset([[0, 1], [0, 1]])  # duplicate rows
@@ -181,6 +180,17 @@ def test_subset_validation():
         PadSubset([[0, 2]])
     with pytest.raises(ValueError):
         PadSubset([[0, 1]], block_length=1, num_blocks=1)  # blocks do not cover
+
+
+def test_many_block_subset_is_described_not_listed():
+    sub = generate_subset(100, 5, np.random.default_rng(0))
+    assert sub.num_blocks == 20 and sub.size == 2 ** 20 and sub.length == 100
+    assert sub.base_pad.shape == (100,) and not sub.base_pad.flags.writeable
+    assert np.array_equal(xi_profile(sub), np.full(100, 0.5))
+    pads = sub.draw(np.random.default_rng(1), (50,))
+    blocks = (pads ^ sub.base_pad).reshape(50, 20, 5)
+    assert (blocks == blocks[:, :, :1]).all()  # each block kept or complemented whole
+    assert "pads" not in vars(sub)
 
 
 def test_generate_pairs_properties():
@@ -391,6 +401,85 @@ def test_recover_pads_weighted_matches_scalar_oracle():
     assert compared > 500
 
 
+def described_and_explicit(rng):
+    """Every geometry with M <= 12, from a drawn and from a given base pad:
+    a described subset beside the same pads held as explicit rows, which
+    the matrix-product kernel scores (the described one is never listed)."""
+    for m in range(1, 13):
+        for phi in range(1, m + 1):
+            for base in (None, random_bits(phi * -(-m // phi), rng)):
+                sub = generate_subset(m, phi, rng, base_pad=base)
+                listed = generate_subset(m, phi, None, base_pad=sub.base_pad).pads
+                yield sub, PadSubset(listed, sub.block_length, sub.num_blocks)
+
+
+def test_described_vote_matches_explicit_pads_exhaustively():
+    # unit and 0/1 coverage weights sum exactly: same pads and same tie
+    # draws; log odds are compared where the best pad wins by more than rounding
+    rng = np.random.default_rng(19)
+    tied_rows = compared = 0
+    for i, (sub, ref) in enumerate(described_and_explicit(rng)):
+        own = (rng.random((40, sub.length)) < 0.5).astype(np.uint8)
+        cipher = (rng.random((40, sub.length)) < 0.5).astype(np.uint8)
+        for j, weights in enumerate((None, coverage_weights(sub, rng))):
+            got_rng, want_rng = np.random.default_rng([i, j]), np.random.default_rng([i, j])
+            got = recover_pads(own, cipher, sub, got_rng, weights)
+            assert np.array_equal(got, recover_pads(own, cipher, ref, want_rng, weights)), (i, j)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state, (i, j)
+        w = log_odds(rng.uniform(0.55, 0.95, sub.length))
+        got = recover_pads(own, cipher, sub, rng, w)
+        want = recover_pads(own, cipher, ref, rng, w)
+        tail = sub.padded_length - sub.length
+        w[:tail] *= 2.0
+        agree = (ref.pads == (own ^ cipher)[:, None]).astype(float)
+        runner_up, best = np.sort(agree @ w, axis=1)[:, -2:].T
+        clear = best - runner_up > 1e-9 * w.sum()
+        assert np.array_equal(got[clear], want[clear]), i
+        compared += np.count_nonzero(clear)
+        unit = agree @ np.where(np.arange(sub.length) < tail, 2.0, 1.0)
+        tied_rows += np.count_nonzero((unit == unit.max(axis=1, keepdims=True)).sum(axis=1) > 1)
+        assert "pads" not in vars(sub)
+    assert tied_rows > 1000 and compared > 5000
+
+
+def test_described_draws_match_explicit_pads_exhaustively():
+    rng = np.random.default_rng(20)
+    for i, (sub, ref) in enumerate(described_and_explicit(rng)):
+        reports = (rng.random((5, sub.length)) < 0.5).astype(np.uint8)
+        for report in (reports, reports[0]):
+            got_rng, want_rng = np.random.default_rng(i), np.random.default_rng(i)
+            got, want = encrypt_report(report, sub, got_rng), encrypt_report(report, ref, want_rng)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), i
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state, i
+        got_rng, want_rng = np.random.default_rng(i), np.random.default_rng(i)
+        got = ees_decode_attempt(reports[1], sub, got_rng, true_pad=ref.pads[0])
+        want = ees_decode_attempt(reports[1], ref, want_rng, true_pad=ref.pads[0])
+        assert np.array_equal(got.recovered_pad, want.recovered_pad), i
+        assert got.pad_recovered == want.pad_recovered
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state, i
+        assert "pads" not in vars(sub)
+
+
+def test_ranks_past_rank_bits_draw_in_chunks():
+    # 130 one-bit blocks, all tied under zero weights: the tie rank is drawn
+    # as 62 + 62 + 6 digits, most significant first, and with one-bit
+    # blocks each digit is the recovered bit itself
+    sub = generate_subset(130, 1, np.random.default_rng(21))
+    zeros = np.zeros((1, 130), dtype=np.uint8)
+    got_rng, want_rng = np.random.default_rng(22), np.random.default_rng(22)
+    got = recover_pads(zeros, zeros, sub, got_rng, weights=np.zeros(130))[0]
+    widths = (RANK_BITS, RANK_BITS, 130 - 2 * RANK_BITS)
+    want = "".join(format(int(want_rng.integers(2 ** w)), f"0{w}b") for w in widths)
+    assert "".join(map(str, got)) == want
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    # a stack of draws is its rows' draws, in row order
+    stacked, rows = np.random.default_rng(23), np.random.default_rng(23)
+    assert np.array_equal(sub.draw(stacked, (3,)), np.stack([sub.draw(rows) for _ in range(3)]))
+    assert stacked.bit_generator.state == rows.bit_generator.state
+    assert sub.draw(stacked, (0,)).shape == (0, 130)
+    assert "pads" not in vars(sub)
+
+
 def test_recover_pads_validation():
     sub = generate_pairs(4, 1, np.random.default_rng(0))
     rng = np.random.default_rng(0)
@@ -408,6 +497,7 @@ def test_recover_pads_validation():
 
 def test_subset_pads_read_only_and_derived_arrays_lazy():
     sub = generate_subset(12, 5, np.random.default_rng(18))
+    assert "pads" not in vars(sub)
     with pytest.raises(ValueError):
         sub.pads[0, 0] ^= 1
     assert "xi" not in vars(sub) and "_unit_vote" not in vars(sub)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from otpsense import simulate
+from otpsense import protocol, simulate
 from otpsense.fusion import FusionRule, fuse
 from otpsense.leakage import masking_level
 from otpsense.protocol import PadSubset
@@ -246,6 +246,26 @@ def test_mean_masking_level_is_the_mean_of_per_channel_levels(monkeypatch):
            for i in range(sc.num_channels)]
     assert summary.mean_masking_level == np.mean(per)
     assert summary.mean_masking_level > 0
+
+
+def test_simulation_never_lists_a_described_subset(monkeypatch):
+    # 100 channels at phi=5 is 20 blocks, 2**20 pads: every role draws and
+    # votes on the subset's description alone
+    built, generate = [], protocol.generate_subset
+
+    def spy(*args, **kwargs):
+        built.append(generate(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(protocol, "generate_subset", spy)
+    users = (UserSpec(),) * 3 + (UserSpec(role="pes", sensed_channels=40), UserSpec(role="ees"),
+                                 UserSpec(role="history"))
+    summary = run_simulation(small_scenario(num_channels=100, users=users, phi=5, pairs=None,
+                                            rounds=4))
+    assert len(built) == 1 and built[0].num_blocks == 20
+    assert "pads" not in vars(built[0])
+    assert summary.honest_recovery_rate is not None and summary.mean_masking_level == 0.0
+    assert sorted(summary.attacker_attempts) == [3, 4, 5]
 
 
 def test_ees_success_rate_matches_uniform_guess():
