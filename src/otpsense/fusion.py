@@ -36,7 +36,9 @@ def fuse(reports, rule: FusionRule) -> np.ndarray:
         raise ValueError(f"rule expects {rule.num_reports} reports, got {reports.shape[-2]}")
     if reports.max(initial=0) > 1:
         raise ValueError("report entries must be 0 or 1")
-    return (reports.sum(axis=-2, dtype=np.int64) >= rule.threshold).astype(np.uint8)
+    # the narrowest count type that holds num_reports
+    counts = reports.sum(axis=-2, dtype=np.min_scalar_type(rule.num_reports))
+    return (counts >= rule.threshold).astype(np.uint8)
 
 
 @dataclass(frozen=True, eq=False)

@@ -215,7 +215,11 @@ class PadSubset:
 
 
 def is_secure_pair_closed(subset: PadSubset) -> bool:
-    """True when every pad's bitwise complement is also in the subset."""
+    """True when every pad's bitwise complement is also in the subset.  A
+    described subset is closed by construction (complementing every block
+    is another per-block choice), so it is answered without listing pads."""
+    if subset.base_pad is not None:
+        return True
     rows = {row.tobytes() for row in subset.pads}
     return all(complement(row).tobytes() in rows for row in subset.pads)
 
@@ -435,7 +439,9 @@ def recover_pads(
     picks = np.empty(targets.shape[0], dtype=np.intp)
     step = max(1, SCORE_CHUNK // max(subset.size, subset.length))
     for lo in range(0, targets.shape[0], step):
-        scores = np.where(targets[lo:lo + step], weights, -weights) @ signed_pads
+        signed = _signed(targets[lo:lo + step], weights.dtype)
+        signed *= weights  # the weights signed by the targets, exactly
+        scores = signed @ signed_pads
         top = scores == scores.max(axis=1, keepdims=True)
         picks[lo:lo + step] = top.argmax(axis=1)
         if np.count_nonzero(top) == top.shape[0]:

@@ -2,19 +2,25 @@
 
 A scenario fixes the channel model, the user population (roles and detector
 profiles), the pad subset construction, the fusion rule and the horizon.
-`run_round` executes one slot in the protocol's phase order: channel
-evolution, sensing, publication, attacks, full-mesh exchange, recovery and
-decryption, fusion.  It works on stacked (user, channel) rows, so
-encryption, recovery and fusion are one call per round each (a pes user
-publishes with its own call).  `run_simulation` loops rounds and aggregates
-metrics; `run_experiment` sweeps one or two scenario parameters, each sweep
-point on an independent random stream derived from (seed, point index),
-optionally on a process pool.
+The round engine runs each chunk of rounds in the protocol's phase order:
+channel evolution, sensing, publication, attacks, full-mesh exchange,
+recovery and decryption, fusion.  It draws every stream for the whole chunk
+at once, runs only the attackers slot by slot, and makes one recovery call
+and one fusion call per chunk.  A chunk holds at most ROUND_CHUNK (round,
+row, channel) cells, so memory does not grow with the horizon.
+`run_round` is the same engine on a chunk of one round.  `run_simulation`
+runs the horizon chunk by chunk and aggregates metrics; `run_experiment`
+sweeps one or two scenario parameters, each sweep point on an independent
+random stream derived from (seed, point index), optionally on a process
+pool.
 
 Randomness is split into named streams (channel evolution, per-user sensing,
 pad draws, attacker choices, vote tie-breaks) spawned from the scenario seed,
 so runs with the protocol enabled and disabled see identical channel truth
-and detector noise, and results never depend on worker scheduling.
+and detector noise, and results never depend on worker scheduling.  Each
+stream is consumed by one kind of call only, and a chunk's draw of T rounds
+takes the same random numbers as T one-round draws, so results do not
+depend on the chunk length either.
 """
 
 from __future__ import annotations
@@ -121,12 +127,17 @@ def channel_model(sc: Scenario) -> spectrum.ChannelModel:
 
 
 def detector_profiles(sc: Scenario) -> list[spectrum.DetectorProfile]:
-    out = []
+    """One detector profile per user, in user order.  Users with equal specs
+    share one profile, so its arrays are read-only."""
+    built: dict[UserSpec, spectrum.DetectorProfile] = {}
     for u in sc.users:
-        fa = np.broadcast_to(np.asarray(u.false_alarm, dtype=float), (sc.num_channels,))
-        ms = np.broadcast_to(np.asarray(u.miss, dtype=float), (sc.num_channels,))
-        out.append(spectrum.DetectorProfile(fa.copy(), ms.copy()))
-    return out
+        if u not in built:
+            rates = [np.broadcast_to(np.asarray(r, dtype=float), (sc.num_channels,)).copy()
+                     for r in (u.false_alarm, u.miss)]
+            for a in rates:
+                a.flags.writeable = False
+            built[u] = spectrum.DetectorProfile(*rates)
+    return [built[u] for u in sc.users]
 
 
 def build_subset(sc: Scenario, rng: np.random.Generator) -> protocol.PadSubset:
@@ -146,6 +157,18 @@ def build_subset(sc: Scenario, rng: np.random.Generator) -> protocol.PadSubset:
     return protocol.generate_subset(sc.num_channels, width, rng)
 
 
+# (round, row, channel) cells of one chunk of rounds: each round holds its
+# user rows and its (receiver, sender) recovery rows, num_channels wide
+ROUND_CHUNK = 2 ** 19
+
+
+def _round_cells(sc: Scenario) -> int:
+    """Cells one round holds in a chunk (see ROUND_CHUNK)."""
+    n = len(sc.users)
+    h = sum(u.role == "honest" for u in sc.users)
+    return (n + h * (n - 1)) * sc.num_channels
+
+
 @dataclass(frozen=True, eq=False)
 class RoundResult:
     """Everything one round produced (arrays indexed by user)."""
@@ -158,6 +181,20 @@ class RoundResult:
     decisions: dict[int, np.ndarray]     # honest user index -> fused vector
     decision: np.ndarray                 # designated recipient's fused vector
     attacks: dict[int, adversary.AttackOutcome]
+
+
+@dataclass(frozen=True, eq=False)
+class _Rounds:
+    """What a chunk of T rounds produced: RoundResult's arrays stacked on a
+    leading round axis, decisions as (T, honest users, M) in user order."""
+
+    truth: np.ndarray
+    reports: np.ndarray
+    ciphertexts: np.ndarray
+    pads: np.ndarray | None
+    recovery_success: np.ndarray | None
+    decisions: np.ndarray
+    attacks: list[dict[int, adversary.AttackOutcome]]
 
 
 @dataclass
@@ -193,6 +230,151 @@ class _State:
     round_index: int = 0
 
 
+def _run_rounds(
+    sc: Scenario,
+    subset: protocol.PadSubset | None,
+    model: spectrum.ChannelModel,
+    profiles: list[spectrum.DetectorProfile],
+    state: _State,
+    streams: _Streams,
+    rounds: int,
+) -> _Rounds:
+    """Execute a chunk of `rounds` consecutive slots; mutates `state` for
+    the next chunk.
+
+    Each slot keeps the protocol's phase order: channel evolution, sensing,
+    publication (honest and stale-report users first, copiers second),
+    attack measurement against the designated target, full-mesh exchange,
+    recovery and decryption of every (honest receiver, sender) pair, and
+    fusion for every honest user.  Every stream is drawn for the whole
+    chunk at once, from the same random numbers as slot-by-slot draws: the
+    channel chain, each user's sensing, and the pads of every publisher
+    (own reports, then pes users).  Only the attackers run slot by slot, on
+    the attacker stream; then one `protocol.recover_pads` call covers every
+    pair of every slot, round-major, and one `fusion.fuse` call every
+    honest user of every slot.
+    """
+    n = len(sc.users)
+    m = sc.num_channels
+    roles = np.array([u.role for u in sc.users])
+    honest = np.flatnonzero(roles == "honest")
+    history = roles == "history"
+    own = np.flatnonzero((roles == "honest") | history)
+    pes = np.flatnonzero(roles == "pes")
+    target = _designated_recipient(sc)
+    truth = spectrum.sample_states(model, streams.channel, previous=state.truth, slots=rounds)
+
+    # sensing: every role draws a full vector from its own stream (keeps
+    # streams aligned across role reassignments); pes reads only its prefix
+    sensed = np.stack([spectrum.sense(truth, p, rng) for p, rng in zip(profiles, streams.sensing)],
+                      axis=1)
+    # each slot's previous sensing, which history users replay on odd rounds
+    # (round 0 replays nothing)
+    first = sensed[0] if state.sensed is None else state.sensed
+    stale = np.concatenate([first[None], sensed[:-1]])
+    replay = (state.round_index + np.arange(rounds)) % 2 == 1
+
+    # phase 1: users with a report of their own publish it
+    reports = np.zeros((rounds, n, m), dtype=np.uint8)
+    reports[:, own] = np.where((replay[:, None] & history[own])[..., None], stale[:, own], sensed[:, own])
+    ciphertexts = reports.copy()
+    pads = np.zeros_like(reports) if sc.encrypted else None
+    # recovery is only scorable against senders whose pad is well defined
+    # (a forwarded copy of unknown provenance has none)
+    pad_known = np.zeros((rounds, n), dtype=bool)
+    publishers = np.concatenate([own, pes])
+    pad_known[:, publishers] = True
+    if sc.encrypted:
+        pads[:, publishers] = subset.draw(streams.pads, (rounds, publishers.size))
+        ciphertexts[:, own] ^= pads[:, own]
+
+    attacks: list[dict[int, adversary.AttackOutcome]] = [{} for _ in range(rounds)]
+    attackers = [i for i in range(n) if roles[i] != "honest"]
+    observed = ciphertexts[:, honest]
+    for t in range(rounds if attackers else 0):
+        copy_previous = sc.ees_copy_previous_round and (t > 0 or state.ciphertexts is not None)
+        observable = (observed[t - 1] if t else state.ciphertexts) if copy_previous else observed[t]
+        cipher, pad = ciphertexts[t, target], None if pads is None else pads[t, target]
+        # phase 2: copiers (ees forwards a copy, pes fills its gaps by cracking)
+        for i in attackers:
+            u = sc.users[i]
+            if u.role == "ees":
+                forged = adversary.ees_act(observable, streams.attacker, sc.ees_modification)
+                ciphertexts[t, i] = forged
+                if not copy_previous and sc.ees_modification == 0.0:
+                    # verbatim intra-round copy: provenance is whichever honest
+                    # ciphertext it equals (content, hence pad, is inherited)
+                    src = honest[(observable == forged).all(axis=1).argmax()]
+                    reports[t, i] = reports[t, src]
+                    if sc.encrypted:
+                        pads[t, i] = pads[t, src]
+                        pad_known[t, i] = True
+                elif not sc.encrypted:
+                    reports[t, i] = forged
+            elif u.role == "pes":
+                k = u.sensed_channels
+                partial = np.zeros(m, dtype=np.uint8)
+                partial[:k] = sensed[t, i, :k]
+                if sc.encrypted:
+                    attacks[t][i] = adversary.pes_act(
+                        np.arange(k), partial, cipher, subset, streams.attacker, true_pad=pad,
+                    )
+                    merged = attacks[t][i].guessed_states.copy()
+                else:
+                    merged = reports[t, target].copy()
+                merged[:k] = partial[:k]
+                reports[t, i] = merged
+                ciphertexts[t, i] = merged if pads is None else merged ^ pads[t, i]
+        # phase 3: remaining attack measurements against the designated target
+        for i in attackers if sc.encrypted else ():
+            if roles[i] == "ees":
+                attacks[t][i] = adversary.ees_decode_attempt(cipher, subset, streams.attacker,
+                                                             true_pad=pad)
+            elif roles[i] == "history" and replay[t]:
+                attacks[t][i] = adversary.history_act(stale[t, i], cipher, subset,
+                                                      streams.attacker, true_pad=pad)
+
+    # phase 4: full-mesh exchange, every honest user receiving from every
+    # other user; pairs run round-major, then receiver, then sender, which
+    # is the order tie-breaks are drawn from streams.ties
+    pair_h, senders = np.nonzero(honest[:, None] != np.arange(n))
+    receivers = honest[pair_h]
+    received = np.take(ciphertexts, senders, axis=1)
+
+    # phase 5: recovery + decryption of every pair of every slot in one call
+    recovery = None
+    if sc.encrypted:
+        own_reports = np.take(reports, receivers, axis=1).reshape(-1, m)
+        got = protocol.recover_pads(own_reports, received.reshape(-1, m), subset,
+                                    streams.ties).reshape(received.shape)
+        received ^= got
+        recovery = np.full((rounds, n, n), np.nan)
+        recovery[:, receivers, senders] = np.where(
+            pad_known[:, senders], (got == np.take(pads, senders, axis=1)).all(axis=2), np.nan)
+
+    # phase 6: one rule and one fusion call for every honest user of every slot
+    plain = received.reshape(rounds, honest.size, n - 1, m)
+    if sc.include_self:
+        plain = np.concatenate([np.take(reports, honest, axis=1)[:, :, None], plain], axis=2)
+    reports_each = plain.shape[2]
+    rule = (fusion.FusionRule.majority(reports_each) if sc.fusion_threshold is None
+            else fusion.FusionRule(sc.fusion_threshold, reports_each))
+
+    state.truth = truth[-1].copy()
+    state.sensed = sensed[-1].copy()
+    state.ciphertexts = observed[-1].copy()
+    state.round_index += rounds
+    return _Rounds(
+        truth=truth,
+        reports=reports,
+        ciphertexts=ciphertexts,
+        pads=pads,
+        recovery_success=recovery,
+        decisions=fusion.fuse(plain, rule),
+        attacks=attacks,
+    )
+
+
 def run_round(
     sc: Scenario,
     subset: protocol.PadSubset | None,
@@ -201,135 +383,21 @@ def run_round(
     state: _State,
     streams: _Streams,
 ) -> RoundResult:
-    """Execute one slot; mutates `state` for the next call.
-
-    Phase order: channel evolution, sensing, publication (honest and
-    stale-report users first, in one `protocol.encrypt_report` call;
-    copiers second), attack measurement against the designated target,
-    full-mesh exchange, recovery and decryption of every (honest receiver,
-    sender) pair in one `protocol.recover_pads` call, and one `fusion.fuse`
-    call for every honest user.
-    """
-    n = len(sc.users)
-    m = sc.num_channels
-    roles = np.array([u.role for u in sc.users])
-    honest = np.flatnonzero(roles == "honest")
-    truth = spectrum.sample_states(model, streams.channel, previous=state.truth)
-
-    # sensing: every role draws a full vector from its own stream (keeps
-    # streams aligned across role reassignments); pes reads only its prefix
-    sensed = np.array([spectrum.sense(truth, profiles[i], streams.sensing[i]) for i in range(n)])
-
-    reports = np.zeros((n, m), dtype=np.uint8)
-    ciphertexts = np.zeros((n, m), dtype=np.uint8)
-    pads = np.zeros((n, m), dtype=np.uint8) if sc.encrypted else None
-    # recovery is only scorable against senders whose pad is well defined
-    # (a forwarded copy of unknown provenance has none)
-    pad_known = np.zeros(n, dtype=bool)
-    attacks: dict[int, adversary.AttackOutcome] = {}
-
-    target = _designated_recipient(sc)
-
-    def publish(who, report: np.ndarray) -> None:
-        reports[who] = report
-        pad_known[who] = True
-        if sc.encrypted:
-            ciphertexts[who], pads[who] = protocol.encrypt_report(report, subset, streams.pads)
-        else:
-            ciphertexts[who] = report
-
-    # phase 1: users with a report of their own publish it, all in one call;
-    # on odd rounds history users replay last round's sensing
-    history = roles == "history"
-    stale = state.sensed if state.round_index % 2 == 1 else None
-    own = np.flatnonzero((roles == "honest") | history)
-    published = sensed if stale is None else np.where(history[:, None], stale, sensed)
-    publish(own, published[own])
-
-    copy_previous = sc.ees_copy_previous_round and state.ciphertexts is not None
-    observable = state.ciphertexts if copy_previous else ciphertexts[honest]
-
-    # phase 2: copiers (ees forwards a copy, pes fills its gaps by cracking)
-    for i, u in enumerate(sc.users):
-        if u.role == "ees":
-            forged = adversary.ees_act(observable, streams.attacker, sc.ees_modification)
-            ciphertexts[i] = forged
-            if not copy_previous and sc.ees_modification == 0.0:
-                # verbatim intra-round copy: provenance is whichever honest
-                # ciphertext it equals (content, hence pad, is inherited)
-                src = honest[(observable == forged).all(axis=1).argmax()]
-                reports[i] = reports[src]
-                if sc.encrypted:
-                    pads[i] = pads[src]
-                    pad_known[i] = True
-            elif not sc.encrypted:
-                reports[i] = forged
-        elif u.role == "pes":
-            mask = np.arange(u.sensed_channels)
-            partial = np.zeros(m, dtype=np.uint8)
-            partial[mask] = sensed[i][mask]
-            if sc.encrypted:
-                outcome = adversary.pes_act(
-                    mask, partial, ciphertexts[target], subset,
-                    streams.attacker, true_pad=pads[target],
-                )
-                attacks[i] = outcome
-                merged = outcome.guessed_states.copy()
-            else:
-                merged = reports[target].copy()
-            merged[mask] = sensed[i][mask]
-            publish(i, merged)
-
-    # phase 3: remaining attack measurements against the designated target
-    if sc.encrypted:
-        for i, u in enumerate(sc.users):
-            if u.role == "ees":
-                attacks[i] = adversary.ees_decode_attempt(
-                    ciphertexts[target], subset, streams.attacker, true_pad=pads[target]
-                )
-            elif u.role == "history" and stale is not None:
-                attacks[i] = adversary.history_act(
-                    stale[i], ciphertexts[target], subset,
-                    streams.attacker, true_pad=pads[target],
-                )
-
-    # phase 4: full-mesh exchange, every honest user receiving from every
-    # other user; pairs run receiver-major, then sender, which is the order
-    # tie-breaks are drawn from streams.ties
-    pair_h, senders = np.nonzero(honest[:, None] != np.arange(n))
-    receivers = honest[pair_h]
-    received = ciphertexts[senders]
-
-    # phase 5: recovery + decryption of every pair in one kernel call
-    recovery = None
-    if sc.encrypted:
-        got = protocol.recover_pads(reports[receivers], received, subset, streams.ties)
-        received ^= got
-        known = pad_known[senders]
-        recovery = np.full((n, n), np.nan)
-        recovery[receivers[known], senders[known]] = (got[known] == pads[senders[known]]).all(axis=1)
-
-    # phase 6: one rule and one fusion call for every honest user
-    plain = received.reshape(len(honest), n - 1, m)
-    if sc.include_self:
-        plain = np.concatenate([reports[honest, None], plain], axis=1)
-    rule = (fusion.FusionRule.majority(plain.shape[1]) if sc.fusion_threshold is None
-            else fusion.FusionRule(sc.fusion_threshold, plain.shape[1]))
-    decisions = dict(zip(honest.tolist(), fusion.fuse(plain, rule)))
-
-    state.truth = truth
-    state.sensed = sensed
-    state.ciphertexts = ciphertexts[honest]
-    state.round_index += 1
+    """Execute one slot: the round engine on a chunk of one round (see
+    `_run_rounds` for the phase order); mutates `state` for the next call.
+    Calls in sequence give the same results as one chunk of those rounds."""
+    out = _run_rounds(sc, subset, model, profiles, state, streams, 1)
+    honest = [i for i, u in enumerate(sc.users) if u.role == "honest"]
+    decisions = dict(zip(honest, out.decisions[0]))
     return RoundResult(
-        truth=truth,
-        reports=reports,
-        ciphertexts=ciphertexts,
-        pads=pads,
-        recovery_success=recovery,
+        truth=out.truth[0],
+        reports=out.reports[0],
+        ciphertexts=out.ciphertexts[0],
+        pads=None if out.pads is None else out.pads[0],
+        recovery_success=None if out.recovery_success is None else out.recovery_success[0],
         decisions=decisions,
-        decision=decisions[target],
-        attacks=attacks,
+        decision=decisions[_designated_recipient(sc)],
+        attacks=out.attacks[0],
     )
 
 
@@ -368,7 +436,7 @@ class SimulationSummary:
 
 
 def run_simulation(sc: Scenario) -> SimulationSummary:
-    """Run the configured horizon and aggregate.
+    """Run the configured horizon in chunks of rounds and aggregate.
 
     Recovery rates: honest_recovery_rate pools every honest recipient ->
     sender pair; target_recovery_rate restricts to other honest users
@@ -382,33 +450,33 @@ def run_simulation(sc: Scenario) -> SimulationSummary:
     subset = build_subset(sc, streams.subset) if sc.encrypted else None
     state = _State()
     target = _designated_recipient(sc)
+    step = max(1, ROUND_CHUNK // _round_cells(sc))
 
-    truths = np.empty((sc.rounds, sc.num_channels), dtype=np.uint8)
-    decisions = np.empty_like(truths)
+    metrics = None
     rec_ok = rec_all = 0
     tgt_ok = tgt_all = 0
     attack_ok: dict[int, int] = {}
     attack_all: dict[int, int] = {}
     contingency = np.zeros((2, 2), dtype=np.int64)
 
-    for t in range(sc.rounds):
-        rr = run_round(sc, subset, model, profiles, state, streams)
-        truths[t] = rr.truth
-        decisions[t] = rr.decision
-        if rr.recovery_success is not None:
-            ok = rr.recovery_success[~np.isnan(rr.recovery_success)]
-            rec_ok += int(ok.sum())
-            rec_all += ok.size
-            col = rr.recovery_success[:, target]
-            col = col[~np.isnan(col)]
-            tgt_ok += int(col.sum())
-            tgt_all += col.size
-        for i, outcome in rr.attacks.items():
-            attack_all[i] = attack_all.get(i, 0) + 1
-            attack_ok[i] = attack_ok.get(i, 0) + int(bool(outcome.pad_recovered))
-            if sc.users[i].role == "ees":
-                idx = 2 * rr.truth + outcome.guessed_states
-                contingency += np.bincount(idx, minlength=4).reshape(2, 2)
+    for lo in range(0, sc.rounds, step):
+        out = _run_rounds(sc, subset, model, profiles, state, streams, min(step, sc.rounds - lo))
+        scored = fusion.score(out.decisions[:, 0], out.truth)  # the target is the first honest user
+        metrics = scored if metrics is None else metrics + scored
+        if out.recovery_success is not None:
+            known = ~np.isnan(out.recovery_success)
+            rec_ok += int(out.recovery_success[known].sum())
+            rec_all += int(known.sum())
+            col, col_known = out.recovery_success[:, :, target], known[:, :, target]
+            tgt_ok += int(col[col_known].sum())
+            tgt_all += int(col_known.sum())
+        for truth, attacks in zip(out.truth, out.attacks):
+            for i, outcome in attacks.items():
+                attack_all[i] = attack_all.get(i, 0) + 1
+                attack_ok[i] = attack_ok.get(i, 0) + int(bool(outcome.pad_recovered))
+                if sc.users[i].role == "ees":
+                    idx = 2 * truth + outcome.guessed_states
+                    contingency += np.bincount(idx, minlength=4).reshape(2, 2)
 
     masking = None
     if sc.encrypted:
@@ -418,7 +486,7 @@ def run_simulation(sc: Scenario) -> SimulationSummary:
 
     return SimulationSummary(
         scenario=sc,
-        metrics=fusion.score(decisions, truths),
+        metrics=metrics,
         honest_recovery_rate=rec_ok / rec_all if rec_all else None,
         target_recovery_rate=tgt_ok / tgt_all if tgt_all else None,
         attacker_success={i: attack_ok[i] / attack_all[i] for i in attack_all},

@@ -91,27 +91,37 @@ def sample_states(
     model: ChannelModel,
     rng: np.random.Generator,
     previous: np.ndarray | None = None,
+    slots: int | None = None,
 ) -> np.ndarray:
-    """Draw the channel state vector for one slot.
+    """Draw the channel state vector for one slot, or a chain of `slots`.
 
-    Without `previous` the draw is stationary: independent Bernoulli(p1) per
-    channel.  With `previous` the exact one-slot transition kernel of the
-    ON/OFF chain is applied, so consecutive slots are correlated (the history
-    attack depends on this).
+    Without `previous` the first draw is stationary: independent
+    Bernoulli(p1) per channel.  With `previous` the exact one-slot
+    transition kernel of the ON/OFF chain is applied, so consecutive slots
+    are correlated (the history attack depends on this).  A chain applies
+    the kernel slot after slot, from the same random numbers as `slots`
+    single-slot calls that each pass the slot before.
 
     Returns:
-        uint8 vector of shape (num_channels,), 1 = busy.
+        uint8 vector of shape (num_channels,), or (slots, num_channels)
+        when `slots` is given; 1 = busy.
     """
+    if previous is not None:
+        previous = as_bits(previous)
+        if previous.size != model.num_channels:
+            raise ValueError(f"previous has {previous.size} channels, model has {model.num_channels}")
+    if slots is not None and slots < 1:
+        raise ValueError(f"slots must be >= 1, got {slots}")
     p1 = stationary_occupancy(model)
-    if previous is None:
-        return (rng.random(model.num_channels) < p1).astype(np.uint8)
-    previous = as_bits(previous)
-    if previous.size != model.num_channels:
-        raise ValueError(f"previous has {previous.size} channels, model has {model.num_channels}")
+    u = rng.random((1 if slots is None else slots, model.num_channels))
     decay = np.exp(-(model.rate_on + model.rate_off) * model.slot_period)
-    # P(next=1 | prev) = p1 + (prev - p1) * exp(-r*T)
-    prob_busy = p1 + (previous - p1) * decay
-    return (rng.random(model.num_channels) < prob_busy).astype(np.uint8)
+    # P(next=1 | prev) = p1 + (prev - p1) * exp(-r*T), for prev = 1 and prev = 0
+    stays_busy, turns_busy = u < p1 + (1.0 - p1) * decay, u < p1 - p1 * decay
+    states = np.empty(u.shape, dtype=np.uint8)
+    for t in range(len(u)):
+        states[t] = u[t] < p1 if previous is None else np.where(previous, stays_busy[t], turns_busy[t])
+        previous = states[t]
+    return states if slots is not None else states[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,14 +160,18 @@ def sense(
     profile: DetectorProfile,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """One user's noisy sensing report for a true state vector.
+    """One user's noisy sensing report for a true state vector, or one
+    report per row of a (slots, M) stack of them.
 
     Busy channels are missed with probability miss[i]; idle channels raise a
-    false alarm with probability false_alarm[i].
+    false alarm with probability false_alarm[i].  A stack is sensed from the
+    same random numbers as one call per row, in row order.
     """
-    states = as_bits(states)
-    if states.size != profile.num_channels:
-        raise ValueError(f"states has {states.size} channels, profile has {profile.num_channels}")
+    states = np.asarray(states, dtype=np.uint8)
+    if states.ndim not in (1, 2) or states.shape[-1] != profile.num_channels:
+        raise ValueError(f"states has shape {states.shape}, profile has {profile.num_channels} channels")
+    if states.max(initial=0) > 1:
+        raise ValueError("state entries must be 0 or 1")
     flip = np.where(states == 1, profile.miss, profile.false_alarm)
-    errors = rng.random(states.size) < flip
+    errors = rng.random(states.shape) < flip
     return np.bitwise_xor(states, errors.astype(np.uint8))

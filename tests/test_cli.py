@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from otpsense import cli, simulate
+from otpsense import cli
 from otpsense.cli import main
 
 
@@ -189,11 +189,7 @@ def test_seed_override_still_checks_the_config(tmp_path, capsys, command):
     assert err.startswith("error:") and "seed" in err
 
 
-def test_experiment_rejects_a_bad_sweep_point_before_any_round(tmp_path, capsys, monkeypatch):
-    def no_round(*args):
-        raise AssertionError("a round ran before every sweep point was checked")
-
-    monkeypatch.setattr(simulate, "run_round", no_round)
+def test_experiment_rejects_a_bad_sweep_point_before_any_round(tmp_path, capsys, engine_chunks):
     cfg = {"rate_on": [50.0] * 8, "rounds": 3000, "num_channels": 8,
            "sweep": [{"param": "channels", "values": [8, 4]}]}
     path = tmp_path / "exp.json"
@@ -201,6 +197,14 @@ def test_experiment_rejects_a_bad_sweep_point_before_any_round(tmp_path, capsys,
     code, out, err = run_cli(capsys, "experiment", "--config", str(path))
     assert code == 1 and out == ""
     assert err.startswith("error:") and "rate_on" in err
+    assert engine_chunks == []
+    # positive control: the same sweep over valid points reaches the engine
+    cfg["sweep"] = [{"param": "channels", "values": [8, 8]}]
+    cfg["rounds"] = 3
+    path.write_text(json.dumps(cfg))
+    code, _, err = run_cli(capsys, "experiment", "--config", str(path))
+    assert code == 0, err
+    assert sum(engine_chunks) == 2 * 3
 
 
 def test_simulate_rejects_unknown_config_key(tmp_path, capsys):
@@ -264,16 +268,21 @@ def _honest(n):
     ({"omega": float("inf")}, "omega"),
     ({"omega": 0.5}, "omega"),
 ])
-def test_simulate_rejects_bad_config_values(tmp_path, capsys, monkeypatch, cfg, word):
-    def no_round(*args):
-        raise AssertionError("a round ran on a bad config")
-
-    monkeypatch.setattr(simulate, "run_round", no_round)
+def test_simulate_rejects_bad_config_values(tmp_path, capsys, engine_chunks, cfg, word):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))
     code, out, err = run_cli(capsys, "simulate", "--config", str(path))
     assert code == 1 and out == ""
     assert err.startswith("error:") and word in err and "Traceback" not in err
+    assert engine_chunks == []
+
+
+def test_simulate_on_a_valid_config_reaches_the_round_engine(tmp_path, capsys, engine_chunks):
+    path = tmp_path / "good.json"
+    path.write_text(json.dumps({"num_channels": 8, "rounds": 5, "users": _honest(3)}))
+    code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+    assert code == 0 and out, err
+    assert sum(engine_chunks) == 5
 
 
 @pytest.mark.parametrize("flag,config_workers", [("0", None), ("-3", None), (None, 0)])

@@ -193,6 +193,13 @@ def test_many_block_subset_is_described_not_listed():
     assert "pads" not in vars(sub)
 
 
+def test_described_subset_is_closed_without_listing_its_pads():
+    sub = generate_subset(40, 1, np.random.default_rng(2))
+    assert sub.num_blocks == 40
+    assert is_secure_pair_closed(sub)
+    assert "pads" not in vars(sub)
+
+
 def test_generate_pairs_properties():
     sub = generate_pairs(10, 4, np.random.default_rng(4))
     assert sub.size == 8 and sub.num_blocks == 1 and sub.block_length == 10
@@ -248,6 +255,23 @@ def test_encrypt_stack_matches_per_row_calls(build):
                 np.full((2, 13), 2)):
         with pytest.raises(ValueError):
             encrypt_report(bad, sub, rng)
+
+
+@pytest.mark.parametrize("build", [
+    lambda rng: generate_subset(13, 4, rng),
+    lambda rng: generate_pairs(13, 3, rng),
+    lambda rng: generate_subset(130, 1, rng),  # ranks past RANK_BITS
+])
+def test_round_block_of_draws_matches_per_round_draws(build):
+    # a (rounds, K + P) draw is each round's K-row draw followed by its P
+    # single draws, round after round, from the same random numbers
+    sub = build(np.random.default_rng(9))
+    block_rng, round_rng = np.random.default_rng(10), np.random.default_rng(10)
+    block = sub.draw(block_rng, (5, 4))
+    for t in range(5):
+        rows = [sub.draw(round_rng, (3,))] + [sub.draw(round_rng)[None]]
+        assert np.array_equal(block[t], np.concatenate(rows)), t
+    assert block_rng.bit_generator.state == round_rng.bit_generator.state
 
 
 def test_xor_roundtrip_exhaustive_small():

@@ -1,6 +1,7 @@
 """Scenario plumbing and round engine behaviour."""
 
 import concurrent.futures
+import dataclasses
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from otpsense import protocol, simulate
+from otpsense import adversary, fusion, leakage, protocol, simulate, spectrum
 from otpsense.fusion import FusionRule, fuse
 from otpsense.leakage import masking_level
 from otpsense.protocol import PadSubset
@@ -32,6 +33,7 @@ from otpsense.simulate import (
     _State,
 )
 from otpsense.spectrum import stationary_occupancy
+from test_golden import DIGESTS, SCENARIOS, summary_digest
 
 
 def small_scenario(**overrides):
@@ -110,6 +112,18 @@ def test_channel_model_and_profiles_shapes():
     assert len(profs) == 3
     assert np.allclose(profs[0].false_alarm, 0.2)
     assert np.allclose(profs[1].miss, 0.1)
+
+
+def test_equal_user_specs_share_one_read_only_profile():
+    noisy = UserSpec(false_alarm=0.2)
+    sc = small_scenario(users=(UserSpec(), noisy, UserSpec(), UserSpec(role="ees"), noisy))
+    profs = detector_profiles(sc)
+    assert profs[0] is profs[2] and profs[1] is profs[4]
+    assert len({id(p) for p in profs}) == 3  # honest, noisy, and the ees spec
+    for p in profs:
+        for rates in (p.false_alarm, p.miss):
+            with pytest.raises(ValueError):
+                rates[0] = 0.5
 
 
 # ---- round engine -------------------------------------------------------
@@ -535,3 +549,232 @@ def test_summary_row_keys():
         "attacker_success_rate",
     }
     assert row["attacker_success_rate"] is None  # nobody attacked
+
+
+# ---- reference engine ---------------------------------------------------
+#
+# The slot-by-slot engine the chunked one replaced: every stream drawn one
+# round at a time, one recovery and one fusion call per round.  The chunked
+# engine must reproduce it byte for byte, for every role.
+
+
+def reference_round(sc, subset, model, profiles, state, streams):
+    n = len(sc.users)
+    m = sc.num_channels
+    roles = np.array([u.role for u in sc.users])
+    honest = np.flatnonzero(roles == "honest")
+    truth = spectrum.sample_states(model, streams.channel, previous=state.truth)
+    sensed = np.array([spectrum.sense(truth, profiles[i], streams.sensing[i]) for i in range(n)])
+
+    reports = np.zeros((n, m), dtype=np.uint8)
+    ciphertexts = np.zeros((n, m), dtype=np.uint8)
+    pads = np.zeros((n, m), dtype=np.uint8) if sc.encrypted else None
+    pad_known = np.zeros(n, dtype=bool)
+    attacks = {}
+    target = _designated_recipient(sc)
+
+    def publish(who, report):
+        reports[who] = report
+        pad_known[who] = True
+        if sc.encrypted:
+            ciphertexts[who], pads[who] = protocol.encrypt_report(report, subset, streams.pads)
+        else:
+            ciphertexts[who] = report
+
+    history = roles == "history"
+    stale = state.sensed if state.round_index % 2 == 1 else None
+    own = np.flatnonzero((roles == "honest") | history)
+    published = sensed if stale is None else np.where(history[:, None], stale, sensed)
+    publish(own, published[own])
+
+    copy_previous = sc.ees_copy_previous_round and state.ciphertexts is not None
+    observable = state.ciphertexts if copy_previous else ciphertexts[honest]
+
+    for i, u in enumerate(sc.users):
+        if u.role == "ees":
+            forged = adversary.ees_act(observable, streams.attacker, sc.ees_modification)
+            ciphertexts[i] = forged
+            if not copy_previous and sc.ees_modification == 0.0:
+                src = honest[(observable == forged).all(axis=1).argmax()]
+                reports[i] = reports[src]
+                if sc.encrypted:
+                    pads[i] = pads[src]
+                    pad_known[i] = True
+            elif not sc.encrypted:
+                reports[i] = forged
+        elif u.role == "pes":
+            mask = np.arange(u.sensed_channels)
+            partial = np.zeros(m, dtype=np.uint8)
+            partial[mask] = sensed[i][mask]
+            if sc.encrypted:
+                outcome = adversary.pes_act(mask, partial, ciphertexts[target], subset,
+                                            streams.attacker, true_pad=pads[target])
+                attacks[i] = outcome
+                merged = outcome.guessed_states.copy()
+            else:
+                merged = reports[target].copy()
+            merged[mask] = sensed[i][mask]
+            publish(i, merged)
+
+    if sc.encrypted:
+        for i, u in enumerate(sc.users):
+            if u.role == "ees":
+                attacks[i] = adversary.ees_decode_attempt(
+                    ciphertexts[target], subset, streams.attacker, true_pad=pads[target])
+            elif u.role == "history" and stale is not None:
+                attacks[i] = adversary.history_act(
+                    stale[i], ciphertexts[target], subset, streams.attacker, true_pad=pads[target])
+
+    pair_h, senders = np.nonzero(honest[:, None] != np.arange(n))
+    receivers = honest[pair_h]
+    received = ciphertexts[senders]
+    recovery = None
+    if sc.encrypted:
+        got = protocol.recover_pads(reports[receivers], received, subset, streams.ties)
+        received ^= got
+        known = pad_known[senders]
+        recovery = np.full((n, n), np.nan)
+        recovery[receivers[known], senders[known]] = (got[known] == pads[senders[known]]).all(axis=1)
+
+    plain = received.reshape(len(honest), n - 1, m)
+    if sc.include_self:
+        plain = np.concatenate([reports[honest, None], plain], axis=1)
+    rule = (FusionRule.majority(plain.shape[1]) if sc.fusion_threshold is None
+            else FusionRule(sc.fusion_threshold, plain.shape[1]))
+    decisions = dict(zip(honest.tolist(), fuse(plain, rule)))
+
+    state.truth = truth
+    state.sensed = sensed
+    state.ciphertexts = ciphertexts[honest]
+    state.round_index += 1
+    return simulate.RoundResult(truth=truth, reports=reports, ciphertexts=ciphertexts, pads=pads,
+                                recovery_success=recovery, decisions=decisions,
+                                decision=decisions[target], attacks=attacks)
+
+
+def start(sc):
+    streams = _spawn_streams(sc.seed, len(sc.users))
+    subset = build_subset(sc, streams.subset) if sc.encrypted else None
+    return (sc, subset, channel_model(sc), detector_profiles(sc), _State(), streams)
+
+
+def reference_rounds(sc):
+    args = start(sc)
+    return [reference_round(*args) for _ in range(sc.rounds)]
+
+
+def reference_simulation(sc):
+    _, subset, model, profiles, _, _ = start(sc)
+    target = _designated_recipient(sc)
+    rounds = reference_rounds(sc)
+    rec = np.array([r.recovery_success for r in rounds]) if sc.encrypted else None
+    attack_ok, attack_all = {}, {}
+    contingency = np.zeros((2, 2), dtype=np.int64)
+    for rr in rounds:
+        for i, outcome in rr.attacks.items():
+            attack_all[i] = attack_all.get(i, 0) + 1
+            attack_ok[i] = attack_ok.get(i, 0) + int(bool(outcome.pad_recovered))
+            if sc.users[i].role == "ees":
+                idx = 2 * rr.truth + outcome.guessed_states
+                contingency += np.bincount(idx, minlength=4).reshape(2, 2)
+
+    def rate(values):
+        values = values[~np.isnan(values)]
+        return int(values.sum()) / values.size if values.size else None
+
+    masking = None
+    if sc.encrypted:
+        report = leakage.leakage_report(subset, stationary_occupancy(model), [profiles[target]])
+        masking = float(np.mean(report.per_channel_mi[0]))
+    return simulate.SimulationSummary(
+        scenario=sc,
+        metrics=fusion.score(np.array([r.decision for r in rounds]), np.array([r.truth for r in rounds])),
+        honest_recovery_rate=None if rec is None else rate(rec),
+        target_recovery_rate=None if rec is None else rate(rec[:, :, target]),
+        attacker_success={i: attack_ok[i] / attack_all[i] for i in attack_all},
+        attacker_attempts=attack_all,
+        ees_contingency=contingency,
+        mean_masking_level=masking,
+    )
+
+
+def same(a, b) -> bool:
+    """Equal field by field: dataclasses, dicts in key order, arrays by dtype,
+    shape and value (NaN equal to NaN)."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+    if isinstance(a, np.ndarray):
+        return (isinstance(b, np.ndarray) and a.dtype == b.dtype and a.shape == b.shape
+                and np.array_equal(a, b, equal_nan=a.dtype.kind == "f"))
+    if isinstance(a, dict):
+        return isinstance(b, dict) and list(a) == list(b) and all(same(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(same, a, b))
+    return type(a) is type(b) and a == b
+
+
+HONEST = UserSpec()
+ENGINE_SCENARIOS = {
+    **SCENARIOS,
+    "ees_previous_round_verbatim": Scenario(
+        num_channels=12, users=(HONEST,) * 3 + (UserSpec(role="ees"),) * 2,
+        pairs=None, phi=4, rounds=40, seed=11, ees_copy_previous_round=True,
+    ),
+    "attackers_pairs": Scenario(
+        num_channels=10, users=(HONEST,) * 2 + (
+            UserSpec(role="history"), UserSpec(role="ees"), UserSpec(role="pes", sensed_channels=4),
+        ),
+        pairs=2, rounds=40, seed=12,
+    ),
+    "attackers_plaintext": Scenario(
+        num_channels=16, users=(HONEST,) * 3 + (
+            UserSpec(role="pes", sensed_channels=5), UserSpec(role="ees"), UserSpec(role="history"),
+        ),
+        pairs=1, rounds=40, seed=13, encrypted=False,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_SCENARIOS))
+def test_run_simulation_matches_the_reference_engine_field_by_field(name):
+    sc = ENGINE_SCENARIOS[name]
+    assert same(run_simulation(sc), reference_simulation(sc))
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_SCENARIOS))
+def test_one_chunk_and_single_rounds_match_reference_rounds(name):
+    sc = ENGINE_SCENARIOS[name]
+    want = reference_rounds(sc)
+    got = simulate._run_rounds(*start(sc), sc.rounds)
+    for field in ("truth", "reports", "ciphertexts", "pads", "recovery_success"):
+        rows = [getattr(rr, field) for rr in want]
+        assert same(getattr(got, field), None if rows[0] is None else np.stack(rows)), field
+    assert same(got.decisions, np.stack([np.stack(list(rr.decisions.values())) for rr in want]))
+    assert same(got.attacks, [rr.attacks for rr in want])
+    args = start(sc)
+    for t in range(5):  # run_round: the engine on chunks of one round
+        assert same(run_round(*args), want[t]), t
+
+
+@pytest.mark.parametrize("rounds_per_chunk", [1, 3, 7])
+def test_chunk_length_leaves_every_golden_digest_unchanged(monkeypatch, engine_chunks,
+                                                           rounds_per_chunk):
+    for name, sc in SCENARIOS.items():
+        monkeypatch.setattr(simulate, "ROUND_CHUNK", rounds_per_chunk * simulate._round_cells(sc))
+        engine_chunks.clear()
+        assert summary_digest(sc) == DIGESTS[name], name
+        whole, rest = divmod(sc.rounds, rounds_per_chunk)
+        assert engine_chunks == [rounds_per_chunk] * whole + [rest] * (rest > 0), name
+
+
+def test_chunks_are_bounded_by_cells_not_by_rounds(monkeypatch, engine_chunks):
+    sc = Scenario(num_channels=8)
+    per_chunk = simulate.ROUND_CHUNK // simulate._round_cells(sc)
+    run_simulation(dataclasses.replace(sc, rounds=2 * per_chunk + 1))
+    assert engine_chunks == [per_chunk, per_chunk, 1]
+    engine_chunks.clear()
+    # a round wider than a chunk still runs, one round at a time
+    monkeypatch.setattr(simulate, "ROUND_CHUNK", 1)
+    run_simulation(small_scenario(rounds=3))
+    assert engine_chunks == [1, 1, 1]

@@ -93,6 +93,36 @@ def test_sample_states_deterministic_and_validated():
         sample_states(m, np.random.default_rng(0), previous=np.zeros(3, dtype=np.uint8))
 
 
+@pytest.mark.parametrize("start", [None, "given"])
+def test_chain_of_slots_matches_slot_by_slot_draws(start):
+    m = ChannelModel(40, np.linspace(5.0, 80.0, 40), 30.0, slot_period=0.02)
+    previous = None if start is None else sample_states(m, np.random.default_rng(4))
+    chain_rng, slot_rng = np.random.default_rng(5), np.random.default_rng(5)
+    chain = sample_states(m, chain_rng, previous=previous, slots=30)
+    assert chain.shape == (30, 40) and chain.dtype == np.uint8
+    for t in range(30):
+        previous = sample_states(m, slot_rng, previous=previous)
+        assert np.array_equal(chain[t], previous), t
+    assert chain_rng.bit_generator.state == slot_rng.bit_generator.state
+    assert 0 < (chain[1:] != chain[:-1]).mean() < 0.5  # the chain moves, with memory
+    with pytest.raises(ValueError, match="slots"):
+        sample_states(m, chain_rng, slots=0)
+
+
+def test_stacked_sense_matches_one_call_per_row():
+    profile = DetectorProfile(np.linspace(0.0, 0.5, 16), np.linspace(0.3, 0.05, 16))
+    states = sample_states(ChannelModel(16, 1.0, 1.0), np.random.default_rng(6), slots=25)
+    stacked_rng, row_rng = np.random.default_rng(7), np.random.default_rng(7)
+    stacked = sense(states, profile, stacked_rng)
+    rows = np.stack([sense(row, profile, row_rng) for row in states])
+    assert stacked.shape == (25, 16) and stacked.dtype == np.uint8
+    assert np.array_equal(stacked, rows)
+    assert stacked_rng.bit_generator.state == row_rng.bit_generator.state
+    for bad in (np.zeros((2, 2, 16)), np.zeros((3, 15)), np.full(16, 2)):
+        with pytest.raises(ValueError):
+            sense(bad, profile, stacked_rng)
+
+
 def test_sense_error_rates_converge():
     n = 100_000
     profile = DetectorProfile.homogeneous(n, 0.1, 0.2)
