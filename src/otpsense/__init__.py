@@ -24,25 +24,20 @@ from .protocol import (
     agreement_probability,
     decrypt,
     encrypt_report,
-    generate_pad,
     generate_pairs,
     generate_subset,
     invert_success_rate,
-    is_secure_pair_closed,
-    pad_posterior,
     predict_success_rate,
     recover_pad,
     recover_pads,
 )
 from .simulate import (
-    RoundResult,
     Scenario,
     SimulationSummary,
     UserSpec,
     apply_sweep,
     build_subset,
     run_experiment,
-    run_round,
     run_simulation,
     scenario_from_dict,
     scenario_to_dict,
@@ -63,7 +58,6 @@ __all__ = [
     "FusionRule",
     "LeakageReport",
     "PadSubset",
-    "RoundResult",
     "Scenario",
     "SensingMetrics",
     "SimulationSummary",
@@ -76,23 +70,19 @@ __all__ = [
     "ees_decode_attempt",
     "encrypt_report",
     "fuse",
-    "generate_pad",
     "generate_pairs",
     "generate_subset",
     "history_act",
     "invert_success_rate",
-    "is_secure_pair_closed",
     "joint_masking_level",
     "leakage_report",
     "masking_level",
-    "pad_posterior",
     "pes_act",
     "persistence",
     "predict_success_rate",
     "recover_pad",
     "recover_pads",
     "run_experiment",
-    "run_round",
     "run_simulation",
     "sample_states",
     "scenario_from_dict",

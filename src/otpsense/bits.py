@@ -5,7 +5,7 @@ numpy uint8 arrays with values in {0, 1}.  Two canonical encodings:
 
 * text: big-endian bit string, index 0 first, e.g. array([1,0,0,1]) <-> "1001"
 * packed: 4-byte big-endian unsigned bit count, then the bits packed
-  most-significant-bit first (numpy packbits order), zero padded.
+  most-significant-bit first (numpy packbits order), zero filled to a byte.
 """
 
 from __future__ import annotations

@@ -49,17 +49,11 @@ def _add_subset_args(p: argparse.ArgumentParser) -> None:
 
 
 def _build_subset(args) -> protocol.PadSubset:
-    rng = np.random.default_rng(args.seed)
-    if args.pairs is not None:
-        return protocol.generate_pairs(args.channels, args.pairs, rng)
-    if args.p_target is not None:
-        if args.eta is None:
-            raise ValueError("--p-target needs --eta")
-        width = protocol.invert_success_rate(args.p_target, args.eta)
-    else:
-        width = args.phi
-    width = protocol.widen_block(args.channels, width, args.omega)
-    return protocol.generate_subset(args.channels, width, rng)
+    if args.p_target is not None and args.eta is None:
+        raise ValueError("--p-target needs --eta")
+    return protocol.make_subset(args.channels, np.random.default_rng(args.seed), pairs=args.pairs,
+                                phi=args.phi, p_target=args.p_target, eta=args.eta,
+                                omega=args.omega)
 
 
 def _metadata(args, extra: dict | None = None) -> dict:

@@ -13,7 +13,7 @@ Subsets come in two flavours:
 * `generate_subset`: a random base pad and its bitwise complement, interleaved
   over contiguous blocks of `block_length` bits.  The subset is every pad that
   picks, per block, either the base block or its complement; cardinality
-  2**num_blocks.  Any two members differ in at least block_length positions
+  2**num_blocks.  Any two members differ on at least one whole block
   (block_length sized votes), and the per-block recovery success rate is
   `predict_success_rate(block_length, eta)`.  The subset is stored as that
   description (base pad plus block geometry), not as its rows: votes and
@@ -26,13 +26,7 @@ Both are closed under bitwise complement, which is what makes the published
 ciphertext carry zero information about the channel states (every bit of a
 uniformly drawn pad is marginally Bernoulli(1/2)).
 
-When block_length does not divide M, blocks are laid out on a virtual report
-of length padded_length = block_length * num_blocks whose tail repeats the
-leading report bits.  Pads are truncated back to M bits; a receiver that
-replays the tail convention finds that each virtual tail vote reduces to the
-vote on the leading position it mirrors, so `recover_pads` simply counts the
-leading padded_length - M positions twice.  The final partial block is then
-decided by its surviving M mod block_length real positions.
+When block_length does not divide M, the last block is simply shorter.
 
 Binary vectors are numpy uint8 arrays (see bits.py).
 """
@@ -54,11 +48,6 @@ SCORE_CHUNK = 2 ** 15
 # binary digits of the widest uniform rank one `rng.integers` call draws;
 # wider ranks are drawn in chunks (see `_draw_digits`)
 RANK_BITS = 62
-
-
-def generate_pad(length: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform random pad of `length` bits."""
-    return random_bits(length, rng)
 
 
 def _sort_rows(pads: np.ndarray) -> np.ndarray:
@@ -92,26 +81,26 @@ class PadSubset:
     whose blocks may each be kept or complemented, standing for all
     2**num_blocks such pads without listing them.  Draws and votes work
     block by block on it.  Any other subset is the explicit rows given to
-    the constructor.
+    the constructor, whose num_blocks, when given, must be the derived one.
 
     Attributes:
         pads: read-only uint8 array of shape (size, length), rows distinct
             and in canonical sorted order.  A described subset lists its
             pads only when this is first read.
-        block_length: vote-block width the subset was built for.
-        num_blocks: number of blocks; block_length * num_blocks is the
-            virtual (padded) report length, >= length.
+        block_length: vote-block width the subset was built for.  Blocks
+            are runs of block_length positions; when it does not divide
+            the length, the last block is shorter.
+        num_blocks: number of blocks, ceil(length / block_length).
         length: pad length M.
-        base_pad: read-only (padded_length,) base pad of a described
-            subset; None for explicit pads.
+        base_pad: read-only (length,) base pad of a described subset;
+            None for explicit pads.
     """
 
     block_length: int
-    num_blocks: int
     length: int
     base_pad: np.ndarray | None
 
-    def __init__(self, pads, block_length: int | None = None, num_blocks: int = 1):
+    def __init__(self, pads, block_length: int | None = None, num_blocks: int | None = None):
         pads = np.atleast_2d(np.asarray(pads, dtype=np.uint8))
         if pads.ndim != 2 or pads.shape[0] < 1 or pads.shape[1] < 1:
             raise ValueError(f"pads must be a non-empty 2-D bit array, got shape {pads.shape}")
@@ -121,39 +110,39 @@ class PadSubset:
             block_length = pads.shape[1]
         if not 1 <= block_length <= pads.shape[1]:
             raise ValueError(f"block_length {block_length} out of range for length {pads.shape[1]}")
-        if num_blocks < 1 or block_length * num_blocks < pads.shape[1]:
-            raise ValueError("num_blocks * block_length must cover the pad length")
+        blocks = -(-pads.shape[1] // block_length)
+        if num_blocks is not None and num_blocks != blocks:
+            raise ValueError(f"num_blocks must be ceil(length / block_length) = {blocks}, "
+                             f"got {num_blocks}")
         pads = _sort_rows(pads)
         if pads.shape[0] > 1 and (pads[1:] == pads[:-1]).all(axis=1).any():
             raise ValueError("subset pads must be distinct")
         # derived arrays below are cached on first use, so the pads must not change
         pads.flags.writeable = False
         # explicit pads fill the lazy `pads` property up front
-        self.__dict__.update(pads=pads, block_length=int(block_length), num_blocks=int(num_blocks),
+        self.__dict__.update(pads=pads, block_length=int(block_length),
                              length=pads.shape[1], base_pad=None)
 
     @classmethod
-    def _described(cls, base_pad: np.ndarray, length: int, block_length: int) -> PadSubset:
-        """The product subset of a (padded-length) base pad, which it owns."""
+    def _described(cls, base_pad: np.ndarray, block_length: int) -> PadSubset:
+        """The product subset of a base pad, which it owns."""
         subset = object.__new__(cls)
         base_pad.flags.writeable = False
-        subset.__dict__.update(block_length=int(block_length),
-                               num_blocks=base_pad.size // block_length,
-                               length=int(length), base_pad=base_pad)
+        subset.__dict__.update(block_length=int(block_length), length=base_pad.size,
+                               base_pad=base_pad)
         return subset
+
+    @property
+    def num_blocks(self) -> int:
+        return -(-self.length // self.block_length)
 
     @property
     def size(self) -> int:
         return 1 << self.num_blocks if self.base_pad is not None else self.pads.shape[0]
 
-    @property
-    def padded_length(self) -> int:
-        return self.block_length * self.num_blocks
-
     def block_positions(self, block: int) -> np.ndarray:
-        """Original bit positions owned by `block` (0-based), after the
-        virtual tail is folded away.  All blocks except possibly the last own
-        exactly block_length positions."""
+        """Bit positions of `block` (0-based): block_length of them, except
+        in a shorter last block when block_length does not divide M."""
         if not 0 <= block < self.num_blocks:
             raise ValueError(f"block {block} out of range")
         lo = block * self.block_length
@@ -174,7 +163,7 @@ class PadSubset:
         its digit.  In the canonical order the rank whose binary digits these
         are (most significant first) is the pad's index."""
         flips = digits ^ self.base_pad[::self.block_length]
-        return self.base_pad[:self.length] ^ np.repeat(flips, self.block_length, axis=-1)[..., :self.length]
+        return self.base_pad ^ np.repeat(flips, self.block_length, axis=-1)[..., :self.length]
 
     def draw(self, rng: np.random.Generator, shape: tuple = ()) -> np.ndarray:
         """Uniformly drawn pads, shape (*shape, length), as a new array: the
@@ -198,9 +187,8 @@ class PadSubset:
     @functools.cached_property
     def _unit_weights(self) -> np.ndarray:
         """Unit vote weights.  Unit scores are integers of magnitude <=
-        padded_length, which float32 holds exactly below 2**24."""
-        dtype = np.float32 if self.padded_length < 2 ** 24 else np.float64
-        return _vote_weights(self, None).astype(dtype)
+        length, which float32 holds exactly below 2**24."""
+        return np.ones(self.length, dtype=np.float32 if self.length < 2 ** 24 else np.float64)
 
     @functools.cached_property
     def _unit_vote(self) -> tuple[np.ndarray, np.ndarray]:
@@ -214,16 +202,6 @@ class PadSubset:
         return _signed(self.pads.T, np.float64)
 
 
-def is_secure_pair_closed(subset: PadSubset) -> bool:
-    """True when every pad's bitwise complement is also in the subset.  A
-    described subset is closed by construction (complementing every block
-    is another per-block choice), so it is answered without listing pads."""
-    if subset.base_pad is not None:
-        return True
-    rows = {row.tobytes() for row in subset.pads}
-    return all(complement(row).tobytes() in rows for row in subset.pads)
-
-
 def generate_subset(
     length: int,
     block_length: int,
@@ -233,10 +211,10 @@ def generate_subset(
     """Block-interleaved complement-pair subset (the protocol's default).
 
     Starts from a random base pad and its complement and takes every per-block
-    mix of the two.  `base_pad`, when given, must already have the padded
-    length block_length * ceil(length / block_length); pads are truncated back
-    to `length` bits.  The subset is stored as this description, so its
-    2**num_blocks pads cost nothing until `.pads` is read.
+    mix of the two.  `base_pad`, when given, must have length `length`.  Its
+    blocks are runs of block_length bits, the last one shorter when
+    block_length does not divide length.  The subset is stored as this
+    description, so its 2**num_blocks pads cost nothing until `.pads` is read.
 
     Raises:
         ValueError: length < 1, block_length outside [1, length], or a
@@ -246,14 +224,13 @@ def generate_subset(
         raise ValueError(f"length must be >= 1, got {length}")
     if not 1 <= block_length <= length:
         raise ValueError(f"block_length must be in [1, {length}], got {block_length}")
-    padded = block_length * -(-length // block_length)
     if base_pad is None:
-        base_pad = random_bits(padded, rng)
+        base_pad = random_bits(length, rng)
     else:
         base_pad = as_bits(base_pad).copy()
-        if base_pad.size != padded:
-            raise ValueError(f"base_pad must have padded length {padded}, got {base_pad.size}")
-    return PadSubset._described(base_pad, length, block_length)
+        if base_pad.size != length:
+            raise ValueError(f"base_pad must have length {length}, got {base_pad.size}")
+    return PadSubset._described(base_pad, block_length)
 
 
 def widen_block(length: int, block_length: int, omega: float) -> int:
@@ -287,7 +264,30 @@ def generate_pairs(length: int, pairs: int, rng: np.random.Generator) -> PadSubs
         seen.add(comp.tobytes())
         rows.append(base)
         rows.append(comp)
-    return PadSubset(np.stack(rows), length, 1)
+    return PadSubset(np.stack(rows))
+
+
+def make_subset(
+    length: int,
+    rng: np.random.Generator,
+    *,
+    pairs: int | None = None,
+    phi: int | None = None,
+    p_target: float | None = None,
+    eta: float | None = None,
+    omega: float = 1.0,
+) -> PadSubset:
+    """The subset a configuration names, taking the first that is set of:
+    p_target (blocks of the smallest odd width whose predicted rate at
+    agreement `eta` reaches it), phi (blocks of that width), or pairs
+    (`generate_pairs`).  Block widths are scaled by omega (`widen_block`)."""
+    if p_target is not None:
+        width = invert_success_rate(p_target, eta)
+    elif phi is not None:
+        width = phi
+    else:
+        return generate_pairs(length, pairs, rng)
+    return generate_subset(length, widen_block(length, width, omega), rng)
 
 
 def encrypt_report(
@@ -317,20 +317,13 @@ def decrypt(ciphertext: np.ndarray, pad: np.ndarray) -> np.ndarray:
     return xor(ciphertext, pad)
 
 
-def _vote_weights(subset: PadSubset, weights: np.ndarray | None) -> np.ndarray:
-    """Per-position vote weights (unit when none are given), with the leading
-    positions mirrored by the virtual tail counted twice."""
-    if weights is None:
-        w = np.ones(subset.length)
-    else:
-        w = np.array(weights, dtype=float)
-        if w.shape != (subset.length,):
-            raise ValueError(f"weights must have shape ({subset.length},), got {w.shape}")
-        if not np.isfinite(w).all():
-            raise ValueError("weights must be finite")
-    tail = subset.padded_length - subset.length
-    if tail:
-        w[:tail] *= 2.0
+def _vote_weights(subset: PadSubset, weights) -> np.ndarray:
+    """Given per-position vote weights as a checked float array."""
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (subset.length,):
+        raise ValueError(f"weights must have shape ({subset.length},), got {w.shape}")
+    if not np.isfinite(w).all():
+        raise ValueError("weights must be finite")
     return w
 
 
@@ -349,7 +342,7 @@ def _vote_blocks(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """`recover_pads` on a described subset: a sign test per block."""
-    base = subset.base_pad[:subset.length].view(bool)
+    base = subset.base_pad.view(bool)
     starts = np.arange(0, subset.length, subset.block_length)
     # a block's margin is the weight agreeing with the base block minus the
     # weight agreeing with its complement: the block's whole weight, less
@@ -414,7 +407,7 @@ def recover_pads(
         subset: the public pad subset every sender drew from.
         rng: tie-break source.
         weights: optional finite (M,) per-position vote weights; unit by
-            default.  Positions mirrored by a virtual tail count twice.
+            default.
 
     Returns:
         (K, M) array of winning pads (a new array).
@@ -465,32 +458,6 @@ def recover_pad(
     """
     own, cipher = as_bits(own_report)[None], as_bits(ciphertext)[None]
     return recover_pads(own, cipher, subset, rng, weights)[0]
-
-
-def pad_posterior(
-    own_report: np.ndarray,
-    ciphertext: np.ndarray,
-    eta: np.ndarray,
-    candidate: np.ndarray,
-) -> float:
-    """Likelihood of a candidate pad given the receiver's own report.
-
-    Product over positions of eta_i when candidate_i == own_i xor cipher_i
-    and 1 - eta_i otherwise.  Maximized over all binary vectors by
-    own_report xor ciphertext whenever every eta_i > 1/2; `recover_pads`
-    restricts that maximization to the subset.
-    """
-    own_report = as_bits(own_report)
-    ciphertext = as_bits(ciphertext)
-    candidate = as_bits(candidate)
-    eta = np.asarray(eta, dtype=float)
-    if not (own_report.size == ciphertext.size == candidate.size == eta.size):
-        raise ValueError("own_report, ciphertext, eta and candidate must share one length")
-    if not ((eta >= 0) & (eta <= 1)).all():
-        raise ValueError("eta entries must lie in [0, 1]")
-    target = np.bitwise_xor(own_report, ciphertext)
-    factors = np.where(candidate == target, eta, 1.0 - eta)
-    return float(factors.prod())
 
 
 def agreement_probability(

@@ -8,11 +8,10 @@ recovery and decryption, fusion.  It draws every stream for the whole chunk
 at once, runs only the attackers slot by slot, and makes one recovery call
 and one fusion call per chunk.  A chunk holds at most ROUND_CHUNK (round,
 row, channel) cells, so memory does not grow with the horizon.
-`run_round` is the same engine on a chunk of one round.  `run_simulation`
-runs the horizon chunk by chunk and aggregates metrics; `run_experiment`
-sweeps one or two scenario parameters, each sweep point on an independent
-random stream derived from (seed, point index), optionally on a process
-pool.
+`run_simulation` runs the horizon chunk by chunk and aggregates metrics;
+`run_experiment` sweeps one or two scenario parameters, each sweep point on
+an independent random stream derived from (seed, point index), optionally on
+a process pool.
 
 Randomness is split into named streams (channel evolution, per-user sensing,
 pad draws, attacker choices, vote tie-breaks) spawned from the scenario seed,
@@ -141,20 +140,17 @@ def detector_profiles(sc: Scenario) -> list[spectrum.DetectorProfile]:
 
 
 def build_subset(sc: Scenario, rng: np.random.Generator) -> protocol.PadSubset:
-    """Build the scenario's pad subset (see Scenario precedence)."""
+    """Build the scenario's pad subset (see Scenario precedence); p_target
+    is met at the first two honest users' lowest per-channel agreement."""
+    eta = None
     if sc.p_target is not None:
         profiles = detector_profiles(sc)
         honest = [p for p, u in zip(profiles, sc.users) if u.role == "honest"]
         pair = honest[:2] if len(honest) > 1 else [honest[0], honest[0]]
         occupancy = spectrum.stationary_occupancy(channel_model(sc))
-        eta = protocol.agreement_probability(pair[0], pair[1], occupancy)
-        width = protocol.invert_success_rate(sc.p_target, float(eta.min()))
-    elif sc.phi is not None:
-        width = sc.phi
-    else:
-        return protocol.generate_pairs(sc.num_channels, sc.pairs, rng)
-    width = protocol.widen_block(sc.num_channels, width, sc.omega)
-    return protocol.generate_subset(sc.num_channels, width, rng)
+        eta = float(protocol.agreement_probability(pair[0], pair[1], occupancy).min())
+    return protocol.make_subset(sc.num_channels, rng, pairs=sc.pairs, phi=sc.phi,
+                                p_target=sc.p_target, eta=eta, omega=sc.omega)
 
 
 # (round, row, channel) cells of one chunk of rounds: each round holds its
@@ -170,30 +166,15 @@ def _round_cells(sc: Scenario) -> int:
 
 
 @dataclass(frozen=True, eq=False)
-class RoundResult:
-    """Everything one round produced (arrays indexed by user)."""
-
-    truth: np.ndarray
-    reports: np.ndarray
-    ciphertexts: np.ndarray
-    pads: np.ndarray | None
-    recovery_success: np.ndarray | None  # (N, N) float, NaN where not attempted
-    decisions: dict[int, np.ndarray]     # honest user index -> fused vector
-    decision: np.ndarray                 # designated recipient's fused vector
-    attacks: dict[int, adversary.AttackOutcome]
-
-
-@dataclass(frozen=True, eq=False)
 class _Rounds:
-    """What a chunk of T rounds produced: RoundResult's arrays stacked on a
-    leading round axis, decisions as (T, honest users, M) in user order."""
+    """What a chunk of T rounds produced, each array on a leading round axis."""
 
-    truth: np.ndarray
-    reports: np.ndarray
-    ciphertexts: np.ndarray
-    pads: np.ndarray | None
-    recovery_success: np.ndarray | None
-    decisions: np.ndarray
+    truth: np.ndarray                    # (T, M)
+    reports: np.ndarray                  # (T, N, M) by user
+    ciphertexts: np.ndarray              # (T, N, M)
+    pads: np.ndarray | None              # (T, N, M); None in plaintext
+    recovery_success: np.ndarray | None  # (T, N, N) float, NaN where not attempted
+    decisions: np.ndarray                # (T, honest users, M) fused, in user order
     attacks: list[dict[int, adversary.AttackOutcome]]
 
 
@@ -372,32 +353,6 @@ def _run_rounds(
         recovery_success=recovery,
         decisions=fusion.fuse(plain, rule),
         attacks=attacks,
-    )
-
-
-def run_round(
-    sc: Scenario,
-    subset: protocol.PadSubset | None,
-    model: spectrum.ChannelModel,
-    profiles: list[spectrum.DetectorProfile],
-    state: _State,
-    streams: _Streams,
-) -> RoundResult:
-    """Execute one slot: the round engine on a chunk of one round (see
-    `_run_rounds` for the phase order); mutates `state` for the next call.
-    Calls in sequence give the same results as one chunk of those rounds."""
-    out = _run_rounds(sc, subset, model, profiles, state, streams, 1)
-    honest = [i for i, u in enumerate(sc.users) if u.role == "honest"]
-    decisions = dict(zip(honest, out.decisions[0]))
-    return RoundResult(
-        truth=out.truth[0],
-        reports=out.reports[0],
-        ciphertexts=out.ciphertexts[0],
-        pads=None if out.pads is None else out.pads[0],
-        recovery_success=None if out.recovery_success is None else out.recovery_success[0],
-        decisions=decisions,
-        decision=decisions[_designated_recipient(sc)],
-        attacks=out.attacks[0],
     )
 
 

@@ -1,0 +1,36 @@
+"""Reference functions the tests check the package against."""
+
+import numpy as np
+
+from otpsense.bits import as_bits, complement
+
+
+def pad_posterior(own_report, ciphertext, eta, candidate) -> float:
+    """Likelihood of a candidate pad given the receiver's own report.
+
+    Product over positions of eta_i when candidate_i == own_i xor cipher_i
+    and 1 - eta_i otherwise.  Maximized over all binary vectors by
+    own_report xor ciphertext whenever every eta_i > 1/2; `recover_pads`
+    restricts that maximization to the subset.
+    """
+    own_report = as_bits(own_report)
+    ciphertext = as_bits(ciphertext)
+    candidate = as_bits(candidate)
+    eta = np.asarray(eta, dtype=float)
+    if not (own_report.size == ciphertext.size == candidate.size == eta.size):
+        raise ValueError("own_report, ciphertext, eta and candidate must share one length")
+    if not ((eta >= 0) & (eta <= 1)).all():
+        raise ValueError("eta entries must lie in [0, 1]")
+    target = np.bitwise_xor(own_report, ciphertext)
+    factors = np.where(candidate == target, eta, 1.0 - eta)
+    return float(factors.prod())
+
+
+def is_secure_pair_closed(subset) -> bool:
+    """True when every pad's bitwise complement is also in the subset.  A
+    described subset is closed by construction (complementing every block
+    is another per-block choice), so it is answered without listing pads."""
+    if subset.base_pad is not None:
+        return True
+    rows = {row.tobytes() for row in subset.pads}
+    return all(complement(row).tobytes() in rows for row in subset.pads)

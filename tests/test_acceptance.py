@@ -21,8 +21,6 @@ from otpsense.protocol import (
     agreement_probability,
     generate_pairs,
     generate_subset,
-    is_secure_pair_closed,
-    pad_posterior,
     predict_success_rate,
     recover_pad,
     recover_pads,
@@ -30,6 +28,8 @@ from otpsense.protocol import (
 from otpsense.adversary import pes_act
 from otpsense.simulate import Scenario, UserSpec, run_experiment, run_simulation
 from otpsense.spectrum import DetectorProfile
+
+from oracles import is_secure_pair_closed, pad_posterior
 
 
 def _report(name: str, ok: bool, detail: str, elapsed: float, budget: float) -> None:

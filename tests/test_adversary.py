@@ -12,12 +12,12 @@ from otpsense.adversary import (
 from otpsense.protocol import (
     PadSubset,
     encrypt_report,
-    generate_pad,
     generate_pairs,
     generate_subset,
     predict_success_rate,
     recover_pad,
 )
+from otpsense.bits import random_bits
 from otpsense.spectrum import (
     ChannelModel,
     DetectorProfile,
@@ -75,7 +75,7 @@ def test_ees_validation():
 def test_ees_decode_is_uniform_over_subset():
     rng = np.random.default_rng(4)
     sub = generate_subset(6, 3, rng)  # four pads
-    cipher = generate_pad(6, rng)
+    cipher = random_bits(6, rng)
     true_pad = sub.pads[1]
     trials = 8000
     hits = 0
@@ -91,7 +91,7 @@ def test_pes_full_sensing_recovers_exactly():
     # sensing every channel with a perfect detector collapses to plain recovery
     rng = np.random.default_rng(5)
     sub = generate_subset(8, 2, rng)
-    report = generate_pad(8, rng)
+    report = random_bits(8, rng)
     cipher, pad = encrypt_report(report, sub, rng)
     out = pes_act(np.arange(8), report, cipher, sub, rng, true_pad=pad)
     assert out.pad_recovered
@@ -108,7 +108,7 @@ def test_pes_single_block_guesses_the_rest():
     trials = 8000
     hits = 0
     for _ in range(trials):
-        report = generate_pad(8, rng)
+        report = random_bits(8, rng)
         cipher, pad = encrypt_report(report, sub, rng)
         out = pes_act(np.array([0, 1]), report, cipher, sub, rng, true_pad=pad)
         assert np.array_equal(out.recovered_pad[:2], pad[:2])  # exact on sensed block
@@ -121,7 +121,7 @@ def test_pes_single_block_guesses_the_rest():
 def test_pes_empty_mask_is_a_blind_guess():
     rng = np.random.default_rng(7)
     sub = generate_subset(4, 2, rng)
-    report = generate_pad(4, rng)
+    report = random_bits(4, rng)
     cipher, pad = encrypt_report(report, sub, rng)
     trials = 6000
     hits = sum(
@@ -136,7 +136,7 @@ def test_pes_partial_block_still_votes():
     # sense one channel of a 2-bit block: one vote decides that block
     rng = np.random.default_rng(8)
     sub = generate_subset(4, 2, rng)
-    report = generate_pad(4, rng)
+    report = random_bits(4, rng)
     cipher, pad = encrypt_report(report, sub, rng)
     out = pes_act(np.array([0]), report, cipher, sub, rng, true_pad=pad)
     # with an exact report the single vote pins block 0
@@ -177,8 +177,8 @@ def test_pes_validation():
 def test_history_attack_is_recovery_with_stale_report():
     rng = np.random.default_rng(11)
     sub = generate_subset(9, 3, rng)
-    stale = generate_pad(9, rng)
-    cipher = generate_pad(9, rng)
+    stale = random_bits(9, rng)
+    cipher = random_bits(9, rng)
     seed = 12345
     out = history_act(stale, cipher, sub, np.random.default_rng(seed),
                       true_pad=sub.pads[2])

@@ -72,5 +72,6 @@ def test_random_bits_deterministic():
     a = bits.random_bits(64, np.random.default_rng(5))
     b = bits.random_bits(64, np.random.default_rng(5))
     assert np.array_equal(a, b)
+    assert a.shape == (64,) and a.dtype == np.uint8 and set(a.tolist()) == {0, 1}
     with pytest.raises(ValueError):
         bits.random_bits(0, np.random.default_rng(5))

@@ -2,11 +2,11 @@
 
 Each digest pins everything a `run_simulation` summary reports for one
 scenario.  The scenarios lean on vote ties (even block widths, single pairs
-over an even band, widths that leave a virtual tail) and on every attacker
-role, because those are the paths where a change in how random numbers are
-drawn would show.  A digest that moves means a fixed config and seed no
-longer reproduce their results; a deliberate change must say why in
-CHANGES.md.
+over an even band, widths that do not divide M and so leave a shorter last
+block) and on every attacker role, because those are the paths where a
+change in how random numbers are drawn would show.  A digest that moves
+means a fixed config and seed no longer reproduce their results; a
+deliberate change must say why in CHANGES.md.
 """
 
 import hashlib
@@ -52,16 +52,18 @@ SCENARIOS = {
 
 # recorded from the scalar per-pair recovery loop; "attackers" re-recorded when
 # the pes user started voting through `recover_pads` (one tie-break draw per
-# call instead of one per block, and the honest decoder's tail weighting)
+# call instead of one per block).  "attackers", "phi2_tail" and "phi6_tail",
+# whose widths do not divide M, re-recorded when the last block became a
+# plain shorter run and the vote stopped counting its leading positions twice
 DIGESTS = {
-    "attackers": "e6878844a8a54f7e3ece097a5da512fbe9f89176c68023d50b03761201959961",
+    "attackers": "39d44e0c8ad212d907ad25b8b65524e157321a50c5642c9745519240fcd86731",
     "ees_previous_round": "09d8c107acb91c459ebc5f1f7cc9834b4e24962680f4adfaa1c558a728b696ec",
     "p_target_omega": "303ecc97f6dd59a722469562f3b1269af0c183ece492ec6abcd781b2d23ffed6",
     "pairs1_even_band": "9e1c127ac33b367b74ea509677ceadebf45e2bfde10d390196cbdf41be61bd52",
     "pairs4_m6": "a766067ee5bf3fb018ce6262b44ebef44de14d084a9ef879c6417271fb4917d2",
     "phi10_even_width": "fe29f9e5706a8609bbd388c52bfc69904af6f48801f72281dc828831396f255c",
-    "phi2_tail": "92a0727192253cfd78808948b4e553c0a6cf2692a94c48cc184eb4f52b74cb07",
-    "phi6_tail": "e44880a695a2273d77c5d47a53289297c0f623784e5afc82c19e8f5ae7c78554",
+    "phi2_tail": "35b50525093f5b27e1d5bd083c1e8d6e12641e223b235907205895f65f9d5c9e",
+    "phi6_tail": "b6a1535d4f5d62bd19c8486c5119da8a9333456afc5f2fbdda2d72e0290d167a",
     "plaintext": "0d332f0f355a12fb5259d23d7df998592caa8d7c9a97c045e08c43bbaa642785",
     "threshold_no_self": "c2793a152adb5babd9be204c8512aa6beee78af9ebea6faaba12d2c0e8a2bf67",
 }

@@ -15,8 +15,10 @@ from otpsense.leakage import (
     masking_level,
     xi_profile,
 )
-from otpsense.protocol import PadSubset, generate_pairs, generate_subset, is_secure_pair_closed
+from otpsense.protocol import PadSubset, generate_pairs, generate_subset
 from otpsense.spectrum import DetectorProfile
+
+from oracles import is_secure_pair_closed
 
 
 def oracle_single_mi(subset, occupancy, profile, channel):

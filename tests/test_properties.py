@@ -16,11 +16,11 @@ from otpsense.protocol import (
     PadSubset,
     generate_pairs,
     generate_subset,
-    is_secure_pair_closed,
-    pad_posterior,
     recover_pad,
 )
 from otpsense.spectrum import DetectorProfile
+
+from oracles import is_secure_pair_closed, pad_posterior
 
 bit_lists = st.lists(st.integers(0, 1), min_size=1, max_size=64)
 

@@ -23,12 +23,9 @@ from otpsense.protocol import (
     agreement_probability,
     decrypt,
     encrypt_report,
-    generate_pad,
     generate_pairs,
     generate_subset,
     invert_success_rate,
-    is_secure_pair_closed,
-    pad_posterior,
     predict_success_rate,
     recover_pad,
     recover_pads,
@@ -36,14 +33,14 @@ from otpsense.protocol import (
 )
 from otpsense.spectrum import DetectorProfile
 
+from oracles import is_secure_pair_closed, pad_posterior
+
 
 def scalar_recover_pad(own_report, ciphertext, subset, rng, weights=None):
     """Oracle: score every pad of the subset against one target, one pair
-    per call (weighted agreement count, leading positions mirrored by the
-    virtual tail counted twice, ties broken by rng.choice)."""
+    per call (weighted agreement count, ties broken by rng.choice)."""
     target = np.bitwise_xor(as_bits(own_report), as_bits(ciphertext))
     w = np.ones(subset.length) if weights is None else np.array(weights, dtype=float)
-    w[:subset.padded_length - subset.length] *= 2.0
     scores = (subset.pads == target) @ w
     winners = np.flatnonzero(scores == scores.max())
     pick = winners[0] if winners.size == 1 else rng.choice(winners)
@@ -54,15 +51,14 @@ def loop_generate_subset(length, block_length, rng, base_pad=None):
     """Reference: the nested-loop block subset construction, one pad and one
     block at a time."""
     num_blocks = -(-length // block_length)
-    padded = block_length * num_blocks
-    base_pad = random_bits(padded, rng) if base_pad is None else as_bits(base_pad)
+    base_pad = random_bits(length, rng) if base_pad is None else as_bits(base_pad)
     choices = np.stack([base_pad, complement(base_pad)])
-    pads = np.empty((1 << num_blocks, padded), dtype=np.uint8)
+    pads = np.empty((1 << num_blocks, length), dtype=np.uint8)
     for i in range(1 << num_blocks):
         for b in range(num_blocks):
             lo = b * block_length
             pads[i, lo:lo + block_length] = choices[(i >> b) & 1, lo:lo + block_length]
-    return PadSubset(pads[:, :length], block_length, num_blocks)
+    return PadSubset(pads, block_length, num_blocks)
 
 
 def log_odds(eta):
@@ -84,14 +80,6 @@ def enumerate_success_rate(eta):
 
 
 # ---- pads and subsets --------------------------------------------------
-
-
-def test_generate_pad_uniform_and_deterministic():
-    rng = np.random.default_rng(0)
-    pad = generate_pad(8, rng)
-    assert pad.shape == (8,) and set(pad.tolist()) <= {0, 1}
-    assert np.array_equal(generate_pad(8, np.random.default_rng(1)),
-                          generate_pad(8, np.random.default_rng(1)))
 
 
 def test_subset_worked_example():
@@ -119,7 +107,9 @@ def test_subset_cardinality_and_closure(m, phi):
     assert sub.size == 2 ** blocks
     assert sub.length == m
     assert sub.num_blocks == blocks and sub.block_length == phi
-    assert sub.padded_length == phi * blocks
+    # blocks are runs of phi real positions, the last one shorter
+    widths = [sub.block_positions(b).size for b in range(blocks)]
+    assert widths == [phi] * (blocks - 1) + [m - phi * (blocks - 1)]
     assert is_secure_pair_closed(sub)
     # rows distinct by construction invariant
     assert len({r.tobytes() for r in sub.pads}) == sub.size
@@ -144,14 +134,13 @@ def test_subset_block_structure_by_enumeration():
 def test_generate_subset_matches_loop_reference_exhaustively():
     for m in range(1, 13):
         for phi in range(1, m + 1):
-            padded = phi * -(-m // phi)
             ref_rng = np.random.default_rng(m * 100 + phi)
             new_rng = np.random.default_rng(m * 100 + phi)
             ref, new = loop_generate_subset(m, phi, ref_rng), generate_subset(m, phi, new_rng)
             assert new.pads.tobytes() == ref.pads.tobytes(), (m, phi)
             assert (new.block_length, new.num_blocks) == (ref.block_length, ref.num_blocks)
             assert new_rng.bit_generator.state == ref_rng.bit_generator.state
-            base = random_bits(padded, ref_rng)
+            base = random_bits(m, ref_rng)
             ref = loop_generate_subset(m, phi, None, base_pad=base)
             new = generate_subset(m, phi, None, base_pad=base)
             assert new.pads.tobytes() == ref.pads.tobytes(), (m, phi)
@@ -174,12 +163,17 @@ def test_subset_validation():
         generate_subset(4, 5, rng)
     with pytest.raises(ValueError):
         generate_subset(4, 2, rng, base_pad=[1, 0, 0])  # wrong base length
+    with pytest.raises(ValueError, match="base_pad"):
+        generate_subset(5, 2, rng, base_pad=[1, 0, 0, 1, 0, 1])  # longer than M
     with pytest.raises(ValueError):
         PadSubset([[0, 1], [0, 1]])  # duplicate rows
     with pytest.raises(ValueError):
         PadSubset([[0, 2]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="num_blocks"):
         PadSubset([[0, 1]], block_length=1, num_blocks=1)  # blocks do not cover
+    with pytest.raises(ValueError, match="num_blocks"):
+        PadSubset([[0, 1, 1]], block_length=2, num_blocks=3)  # ceil(3 / 2) is 2
+    assert PadSubset([[0, 1, 1]], block_length=2).num_blocks == 2
 
 
 def test_many_block_subset_is_described_not_listed():
@@ -223,7 +217,7 @@ def test_encrypt_decrypt_worked_example():
 def test_encrypt_draws_pad_from_subset():
     rng = np.random.default_rng(5)
     sub = generate_subset(6, 3, rng)
-    report = generate_pad(6, rng)
+    report = random_bits(6, rng)
     seen = set()
     for _ in range(200):
         cipher, pad = encrypt_report(report, sub, rng)
@@ -278,7 +272,7 @@ def test_xor_roundtrip_exhaustive_small():
     rng = np.random.default_rng(6)
     for m in range(1, 13):
         reports = np.array(list(itertools.product((0, 1), repeat=m)), dtype=np.uint8)
-        pad = generate_pad(m, rng)
+        pad = random_bits(m, rng)
         recovered = np.bitwise_xor(np.bitwise_xor(reports, pad), pad)
         assert np.array_equal(recovered, reports)
 
@@ -324,17 +318,14 @@ def test_recover_majority_beats_minority():
 
 
 def test_recover_weighted_matches_posterior_argmax():
-    # restricted to block lengths dividing m: a virtual tail doubles leading
-    # vote weights, which the plain per-bit posterior does not model
     rng = np.random.default_rng(10)
     for _ in range(50):
         m = int(rng.integers(2, 9))
-        divisors = [d for d in range(1, m + 1) if m % d == 0]
-        phi = divisors[rng.integers(len(divisors))]
+        phi = int(rng.integers(1, m + 1))
         sub = generate_subset(m, phi, rng)
         eta = rng.uniform(0.55, 0.95, size=m)
-        own = generate_pad(m, rng)
-        cipher = generate_pad(m, rng)
+        own = random_bits(m, rng)
+        cipher = random_bits(m, rng)
         posts = np.array([pad_posterior(own, cipher, eta, c) for c in sub.pads])
         best = np.flatnonzero(posts == posts.max())
         if best.size != 1:
@@ -415,7 +406,7 @@ def test_recover_pads_weighted_matches_scalar_oracle():
         own = (rng.random((k, sub.length)) < 0.5).astype(np.uint8)
         cipher = (rng.random((k, sub.length)) < 0.5).astype(np.uint8)
         got = recover_pads(own, cipher, sub, np.random.default_rng(i), weights=w)
-        total = w.sum() + w[:sub.padded_length - sub.length].sum()
+        total = w.sum()
         for row, o, c in zip(got, own, cipher):
             pad, scores = scalar_recover_pad(o, c, sub, rng, weights=w)
             best, runner_up = np.sort(scores)[-1:-3:-1]
@@ -431,7 +422,7 @@ def described_and_explicit(rng):
     the matrix-product kernel scores (the described one is never listed)."""
     for m in range(1, 13):
         for phi in range(1, m + 1):
-            for base in (None, random_bits(phi * -(-m // phi), rng)):
+            for base in (None, random_bits(m, rng)):
                 sub = generate_subset(m, phi, rng, base_pad=base)
                 listed = generate_subset(m, phi, None, base_pad=sub.base_pad).pads
                 yield sub, PadSubset(listed, sub.block_length, sub.num_blocks)
@@ -453,14 +444,12 @@ def test_described_vote_matches_explicit_pads_exhaustively():
         w = log_odds(rng.uniform(0.55, 0.95, sub.length))
         got = recover_pads(own, cipher, sub, rng, w)
         want = recover_pads(own, cipher, ref, rng, w)
-        tail = sub.padded_length - sub.length
-        w[:tail] *= 2.0
         agree = (ref.pads == (own ^ cipher)[:, None]).astype(float)
         runner_up, best = np.sort(agree @ w, axis=1)[:, -2:].T
         clear = best - runner_up > 1e-9 * w.sum()
         assert np.array_equal(got[clear], want[clear]), i
         compared += np.count_nonzero(clear)
-        unit = agree @ np.where(np.arange(sub.length) < tail, 2.0, 1.0)
+        unit = agree.sum(axis=2)
         tied_rows += np.count_nonzero((unit == unit.max(axis=1, keepdims=True)).sum(axis=1) > 1)
         assert "pads" not in vars(sub)
     assert tied_rows > 1000 and compared > 5000
@@ -543,20 +532,47 @@ def test_recover_validation():
 
 def test_recovery_with_partial_final_block():
     # 5 channels, blocks of 3: matching reports must still recover exactly,
-    # and noisy recovery should work well above chance
+    # and noisy recovery succeeds at the product of the two blocks' rates
     rng = np.random.default_rng(11)
     sub = generate_subset(5, 3, rng)
-    assert sub.padded_length == 6 and sub.size == 4
+    assert sub.block_positions(1).tolist() == [3, 4] and sub.size == 4
     hits = 0
     trials = 4000
     for _ in range(trials):
-        report = generate_pad(5, rng)
+        report = random_bits(5, rng)
         cipher, pad = encrypt_report(report, sub, rng)
         assert np.array_equal(recover_pad(report, cipher, sub, rng), pad)
         noisy = np.bitwise_xor(report, (rng.random(5) < 0.1).astype(np.uint8))
         hits += np.array_equal(recover_pad(noisy, cipher, sub, rng), pad)
-    # exact closed form is awkward for the folded tail; chance level is 1/4
-    assert hits / trials > 0.75
+    # bits agree with probability 0.9; the 2-bit block ties (a coin flip)
+    # when exactly one of its bits disagrees
+    expected = predict_success_rate(3, 0.9) * (0.9 ** 2 + 0.9 * 0.1)
+    assert abs(hits / trials - expected) < 4 * math.sqrt(expected * (1 - expected) / trials)
+
+
+@pytest.mark.parametrize("m,phi", [(23, 5), (22, 7), (7, 2), (13, 5), (11, 3), (9, 3)])
+def test_every_odd_block_votes_at_its_predicted_rate_exactly(m, phi):
+    # each block is decided by its own real positions only: feeding all 2**w
+    # agreement patterns of one block through `recover_pads` and summing the
+    # probability of those it recovers gives predict_success_rate(w, eta)
+    rng = np.random.default_rng(m * 100 + phi)
+    sub = generate_subset(m, phi, rng)
+    report, pad = random_bits(m, rng), sub.draw(rng)
+    checked = 0
+    for b in range(sub.num_blocks):
+        pos = sub.block_positions(b)
+        if pos.size % 2 == 0:
+            continue  # even widths tie, and a tie is a coin flip
+        agree = np.array(list(itertools.product((1, 0), repeat=pos.size)), dtype=np.uint8)
+        own = np.tile(report, (agree.shape[0], 1))
+        own[:, pos] ^= 1 - agree
+        got = recover_pads(own, np.tile(report ^ pad, (agree.shape[0], 1)), sub, rng)
+        hit = (got[:, pos] == pad[pos]).all(axis=1)
+        for eta in (np.full(pos.size, 0.82), rng.uniform(0.55, 0.95, pos.size)):
+            prob = np.where(agree, eta, 1 - eta).prod(axis=1)
+            assert prob[hit].sum() == pytest.approx(predict_success_rate(pos.size, eta), abs=1e-12), b
+        checked += 1
+    assert checked
 
 
 # ---- posterior and agreement -------------------------------------------
@@ -574,8 +590,8 @@ def test_pad_posterior_argmax_is_target_exhaustive():
     rng = np.random.default_rng(12)
     for m in range(1, 11):
         eta = rng.uniform(0.51, 0.99, size=m)
-        own = generate_pad(m, rng)
-        cipher = generate_pad(m, rng)
+        own = random_bits(m, rng)
+        cipher = random_bits(m, rng)
         target = np.bitwise_xor(own, cipher)
         best_val = pad_posterior(own, cipher, eta, target)
         assert best_val == pytest.approx(float(np.prod(eta)))

@@ -23,7 +23,6 @@ from otpsense.simulate import (
     config_hash,
     detector_profiles,
     run_experiment,
-    run_round,
     run_simulation,
     scenario_from_dict,
     scenario_to_dict,
@@ -130,30 +129,27 @@ def test_equal_user_specs_share_one_read_only_profile():
 
 
 def run_one_round(sc):
-    streams = _spawn_streams(sc.seed, len(sc.users))
-    subset = build_subset(sc, streams.subset) if sc.encrypted else None
-    state = _State()
-    return run_round(sc, subset, channel_model(sc), detector_profiles(sc), state, streams), state
+    """The round engine on a chunk of one round, from a fresh start."""
+    return simulate._run_rounds(*start(sc), 1)
 
 
 def test_round_shapes_and_full_mesh():
     sc = small_scenario()
-    rr, _ = run_one_round(sc)
+    rr = run_one_round(sc)
     n, m = 3, 12
-    assert rr.truth.shape == (m,)
-    assert rr.reports.shape == (n, m) and rr.ciphertexts.shape == (n, m)
-    assert rr.pads.shape == (n, m)
-    assert set(rr.decisions) == {0, 1, 2}
-    assert np.array_equal(rr.decision, rr.decisions[0])
+    assert rr.truth.shape == (1, m)
+    assert rr.reports.shape == rr.ciphertexts.shape == rr.pads.shape == (1, n, m)
+    assert rr.recovery_success.shape == (1, n, n)
+    assert rr.decisions.shape == (1, n, m)  # every user is honest
 
 
 def test_round_ciphertext_is_report_xor_pad():
-    rr, _ = run_one_round(small_scenario())
+    rr = run_one_round(small_scenario())
     assert np.array_equal(rr.ciphertexts, np.bitwise_xor(rr.reports, rr.pads))
 
 
 def test_round_plaintext_shares_reports():
-    rr, _ = run_one_round(small_scenario(encrypted=False))
+    rr = run_one_round(small_scenario(encrypted=False))
     assert rr.pads is None and rr.recovery_success is None
     assert np.array_equal(rr.ciphertexts, rr.reports)
 
@@ -164,33 +160,34 @@ def test_round_fuses_each_honest_user_like_a_per_user_call():
         for threshold in (None, 2):
             sc = small_scenario(users=users, encrypted=False, include_self=include_self,
                                 fusion_threshold=threshold)
-            rr, _ = run_one_round(sc)
-            assert set(rr.decisions) == {0, 2, 3}
-            for r, decision in rr.decisions.items():
-                rows = [rr.ciphertexts[s] for s in range(4) if s != r]
+            rr = run_one_round(sc)
+            assert rr.decisions.shape == (1, 3, 12)
+            for r, decision in zip((0, 2, 3), rr.decisions[0]):
+                rows = [rr.ciphertexts[0, s] for s in range(4) if s != r]
                 if include_self:
-                    rows = [rr.reports[r]] + rows
+                    rows = [rr.reports[0, r]] + rows
                 rule = (FusionRule(threshold, len(rows)) if threshold is not None
                         else FusionRule.majority(len(rows)))
                 assert np.array_equal(decision, fuse(np.stack(rows), rule))
 
 
 def test_recovery_matrix_excludes_self():
-    rr, _ = run_one_round(small_scenario())
-    assert np.isnan(np.diag(rr.recovery_success)).all()
-    off_diag = rr.recovery_success[~np.eye(3, dtype=bool)]
+    recovery = run_one_round(small_scenario()).recovery_success[0]
+    assert np.isnan(np.diag(recovery)).all()
+    off_diag = recovery[~np.eye(3, dtype=bool)]
     assert not np.isnan(off_diag).any()  # every honest pad is attributable
     assert set(np.unique(off_diag)) <= {0.0, 1.0}
 
 
 def test_ees_copies_an_honest_ciphertext_and_inherits_pad():
     sc = small_scenario(users=(UserSpec(), UserSpec(), UserSpec(role="ees")))
-    rr, _ = run_one_round(sc)
-    assert any(np.array_equal(rr.ciphertexts[2], rr.ciphertexts[j]) for j in (0, 1))
-    src = 0 if np.array_equal(rr.ciphertexts[2], rr.ciphertexts[0]) else 1
-    assert np.array_equal(rr.pads[2], rr.pads[src])
-    assert 2 in rr.attacks
-    assert rr.attacks[2].channels_sensed == 0
+    rr = run_one_round(sc)
+    ciphertexts, pads, attacks = rr.ciphertexts[0], rr.pads[0], rr.attacks[0]
+    assert any(np.array_equal(ciphertexts[2], ciphertexts[j]) for j in (0, 1))
+    src = 0 if np.array_equal(ciphertexts[2], ciphertexts[0]) else 1
+    assert np.array_equal(pads[2], pads[src])
+    assert 2 in attacks
+    assert attacks[2].channels_sensed == 0
 
 
 def test_pes_round_outcome():
@@ -198,11 +195,11 @@ def test_pes_round_outcome():
         users=(UserSpec(), UserSpec(), UserSpec(role="pes", sensed_channels=4)),
         phi=4, pairs=None,
     )
-    rr, _ = run_one_round(sc)
-    assert 2 in rr.attacks
-    assert rr.attacks[2].channels_sensed == 4
+    rr = run_one_round(sc)
+    assert 2 in rr.attacks[0]
+    assert rr.attacks[0][2].channels_sensed == 4
     # the published report carries the honestly sensed prefix
-    assert rr.reports[2].shape == (12,)
+    assert rr.reports[0, 2].shape == (12,)
 
 
 def test_history_user_attacks_on_odd_rounds_only():
@@ -558,6 +555,19 @@ def test_summary_row_keys():
 # engine must reproduce it byte for byte, for every role.
 
 
+@dataclasses.dataclass(frozen=True, eq=False)
+class ReferenceRound:
+    """What one reference round produced (arrays indexed by user)."""
+
+    truth: np.ndarray
+    reports: np.ndarray
+    ciphertexts: np.ndarray
+    pads: np.ndarray | None
+    recovery_success: np.ndarray | None  # (N, N) float, NaN where not attempted
+    decisions: dict                      # honest user index -> fused vector
+    attacks: dict
+
+
 def reference_round(sc, subset, model, profiles, state, streams):
     n = len(sc.users)
     m = sc.num_channels
@@ -647,9 +657,8 @@ def reference_round(sc, subset, model, profiles, state, streams):
     state.sensed = sensed
     state.ciphertexts = ciphertexts[honest]
     state.round_index += 1
-    return simulate.RoundResult(truth=truth, reports=reports, ciphertexts=ciphertexts, pads=pads,
-                                recovery_success=recovery, decisions=decisions,
-                                decision=decisions[target], attacks=attacks)
+    return ReferenceRound(truth=truth, reports=reports, ciphertexts=ciphertexts, pads=pads,
+                          recovery_success=recovery, decisions=decisions, attacks=attacks)
 
 
 def start(sc):
@@ -688,7 +697,8 @@ def reference_simulation(sc):
         masking = float(np.mean(report.per_channel_mi[0]))
     return simulate.SimulationSummary(
         scenario=sc,
-        metrics=fusion.score(np.array([r.decision for r in rounds]), np.array([r.truth for r in rounds])),
+        metrics=fusion.score(np.array([r.decisions[target] for r in rounds]),
+                             np.array([r.truth for r in rounds])),
         honest_recovery_rate=None if rec is None else rate(rec),
         target_recovery_rate=None if rec is None else rate(rec[:, :, target]),
         attacker_success={i: attack_ok[i] / attack_all[i] for i in attack_all},
@@ -742,19 +752,23 @@ def test_run_simulation_matches_the_reference_engine_field_by_field(name):
     assert same(run_simulation(sc), reference_simulation(sc))
 
 
-@pytest.mark.parametrize("name", sorted(ENGINE_SCENARIOS))
-def test_one_chunk_and_single_rounds_match_reference_rounds(name):
-    sc = ENGINE_SCENARIOS[name]
-    want = reference_rounds(sc)
-    got = simulate._run_rounds(*start(sc), sc.rounds)
+def assert_chunk_is(got, want):
+    """A chunk the engine ran equals the reference rounds it covers, stacked."""
     for field in ("truth", "reports", "ciphertexts", "pads", "recovery_success"):
         rows = [getattr(rr, field) for rr in want]
         assert same(getattr(got, field), None if rows[0] is None else np.stack(rows)), field
     assert same(got.decisions, np.stack([np.stack(list(rr.decisions.values())) for rr in want]))
     assert same(got.attacks, [rr.attacks for rr in want])
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_SCENARIOS))
+def test_one_chunk_and_single_rounds_match_reference_rounds(name):
+    sc = ENGINE_SCENARIOS[name]
+    want = reference_rounds(sc)
+    assert_chunk_is(simulate._run_rounds(*start(sc), sc.rounds), want)
     args = start(sc)
-    for t in range(5):  # run_round: the engine on chunks of one round
-        assert same(run_round(*args), want[t]), t
+    for t in range(5):  # the engine stepped on chunks of one round
+        assert_chunk_is(simulate._run_rounds(*args, 1), want[t:t + 1])
 
 
 @pytest.mark.parametrize("rounds_per_chunk", [1, 3, 7])
