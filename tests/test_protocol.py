@@ -82,6 +82,14 @@ def enumerate_success_rate(eta):
 # ---- pads and subsets --------------------------------------------------
 
 
+def test_generate_pad_uniform_and_deterministic():
+    rng = np.random.default_rng(0)
+    pad = random_bits(8, rng)
+    assert pad.shape == (8,) and set(pad.tolist()) <= {0, 1}
+    assert np.array_equal(random_bits(8, np.random.default_rng(1)),
+                          random_bits(8, np.random.default_rng(1)))
+
+
 def test_subset_worked_example():
     rng = np.random.default_rng(0)
     sub = generate_subset(4, 2, rng, base_pad=[1, 0, 0, 1])
