@@ -15,6 +15,11 @@ actually observe:
   using the outdated report; channel memory decays with the slot period, so
   the vote quality drops below an honest receiver's.
 
+Every op acts on one round or on a stack of T rounds, as `encrypt_report`
+does: a (T, ...) call takes the same random numbers, in round order, as T
+one-round calls on the same generators, and returns their results stacked
+on a leading round axis.
+
 Ops fill `AttackOutcome.pad_recovered` only when the caller passes the
 ground-truth pad; attackers themselves never see it.
 """
@@ -25,44 +30,71 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import as_bits
-from .protocol import PadSubset, decrypt, recover_pad, recover_pads
+from .protocol import PadSubset, recover_pads
+# a module attribute that perfbench/tracing.py wraps by name
+from .protocol import recover_pad  # noqa: F401
 
 
 @dataclass(frozen=True, eq=False)
 class AttackOutcome:
-    """What one attack attempt produced.
+    """What one attack attempt, or a stack of T of them, produced.
 
     Attributes:
         guessed_states: the attacker's best guess at the sender's report
-            (ciphertext decrypted with the guessed pad).
-        recovered_pad: the pad the attacker settled on.
-        pad_recovered: True/False when ground truth was supplied to the op,
-            None otherwise.
+            (ciphertext decrypted with the guessed pad); (M,), or (T, M)
+            for a stack.
+        recovered_pad: the pad the attacker settled on, shaped alike.
+        pad_recovered: when ground truth was supplied to the op, True/False
+            for one attempt and a (T,) bool array for a stack; None
+            otherwise.
         channels_sensed: how many channels the attacker actually sensed.
     """
 
     guessed_states: np.ndarray
     recovered_pad: np.ndarray
-    pad_recovered: bool | None
+    pad_recovered: bool | np.ndarray | None
     channels_sensed: int
 
 
+def _bit_rows(values, length: int, name: str) -> np.ndarray:
+    """A (length,) bit vector or a (T, length) stack of them, as uint8."""
+    a = np.asarray(values, dtype=np.uint8)
+    if a.ndim not in (1, 2) or a.shape[-1] != length:
+        raise ValueError(f"{name} must be ({length},) or (T, {length}), got {a.shape}")
+    if a.max(initial=0) > 1:
+        raise ValueError(f"{name} entries must be 0 or 1")
+    return a
+
+
 def _outcome(ciphertext, pad, sensed: int, true_pad) -> AttackOutcome:
-    recovered = None if true_pad is None else bool(np.array_equal(pad, as_bits(true_pad)))
-    return AttackOutcome(decrypt(ciphertext, pad), pad, recovered, sensed)
+    recovered = None
+    if true_pad is not None:
+        hit = (pad == _bit_rows(true_pad, pad.shape[-1], "true_pad")).all(axis=-1)
+        recovered = bool(hit) if hit.ndim == 0 else hit
+    return AttackOutcome(np.bitwise_xor(ciphertext, pad), pad, recovered, sensed)
+
+
+def _recover(own, ciphertext, subset, rng, weights=None) -> np.ndarray:
+    """`recover_pads` on one row or a (T, M) stack, keeping its shape."""
+    rows = recover_pads(own.reshape(-1, subset.length), ciphertext.reshape(-1, subset.length),
+                        subset, rng, weights)
+    return rows.reshape(ciphertext.shape)
 
 
 def ees_act(
     observed: np.ndarray | list[np.ndarray],
     rng: np.random.Generator,
     modification: float = 0.0,
+    flips_rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Forge a contribution by replaying an observed ciphertext.
 
-    Picks uniformly among the ciphertexts observed this round (a list of
-    rows or a stacked array) and flips each bit independently with
-    probability `modification` (0 = verbatim copy).  Call once per
+    Picks uniformly among the H ciphertexts observed this round (a list of
+    rows or an (H, M) array) and flips each bit independently with
+    probability `modification` (0 = verbatim copy).  A (T, H, M) stack
+    forges one (T, M) row per round.  The picks come from `rng` and the
+    flips from `flips_rng` (by default `rng`); on two generators a stack
+    takes the same random numbers as T one-round calls.  Call once per
     recipient to forward possibly different copies.
     """
     if len(observed) == 0:
@@ -70,12 +102,13 @@ def ees_act(
     if not 0 <= modification <= 1:
         raise ValueError(f"modification must lie in [0, 1], got {modification}")
     rows = np.asarray(observed, dtype=np.uint8)  # rows of unequal length raise here
-    if rows.ndim != 2 or rows.max() > 1:
+    if rows.ndim not in (2, 3) or rows.shape[-2] == 0 or rows.max() > 1:
         raise ValueError("observed ciphertexts must be bit vectors of one length")
-    copy = rows[rng.integers(len(rows))].copy()
+    picks = rng.integers(rows.shape[-2], size=rows.shape[:-2])
+    copy = rows[np.arange(rows.shape[0]), picks] if rows.ndim == 3 else rows[picks].copy()
     if modification > 0:
-        flips = (rng.random(copy.size) < modification).astype(np.uint8)
-        copy ^= flips
+        flips = ((rng if flips_rng is None else flips_rng).random(copy.shape) < modification)
+        copy ^= flips.astype(np.uint8)
     return copy
 
 
@@ -85,13 +118,11 @@ def ees_decode_attempt(
     rng: np.random.Generator,
     true_pad: np.ndarray | None = None,
 ) -> AttackOutcome:
-    """Reportless decode: with no sensing there is no vote signal, so the
-    best available pad is a uniform draw.  Succeeds with probability
-    1/subset.size per ciphertext."""
-    ciphertext = as_bits(ciphertext)
-    if ciphertext.size != subset.length:
-        raise ValueError(f"ciphertext has {ciphertext.size} bits, subset pads {subset.length}")
-    pad = subset.draw(rng)
+    """Reportless decode of one ciphertext or a (T, M) stack: with no
+    sensing there is no vote signal, so the best available pad is a uniform
+    draw.  Succeeds with probability 1/subset.size per ciphertext."""
+    ciphertext = _bit_rows(ciphertext, subset.length, "ciphertext")
+    pad = subset.draw(rng, ciphertext.shape[:-1])
     return _outcome(ciphertext, pad, 0, true_pad)
 
 
@@ -107,28 +138,29 @@ def pes_act(
     covered positions and zero weight elsewhere.
 
     Args:
-        sensed_channels: indices of channels the attacker sensed.
-        partial_report: full-length report vector; only the entries at
-            `sensed_channels` are read.
-        ciphertext: the target's published ciphertext.
+        sensed_channels: indices of channels the attacker sensed, the same
+            in every round of a stack.
+        partial_report: full-length report vector, or a (T, M) stack; only
+            the entries at `sensed_channels` are read.
+        ciphertext: the target's published ciphertext, shaped alike.
         subset: public pad subset.
-        rng: vote tie-breaks (uncovered blocks always tie).
-        true_pad: optional ground truth for `pad_recovered`.
+        rng: vote tie-breaks (uncovered blocks always tie), in round order.
+        true_pad: optional ground truth for `pad_recovered`, shaped alike.
 
     Over a product subset a block with no covered position is a fair guess
     among its alternatives, so with b uncovered blocks the full-pad success
     rate is bounded by 2**-b times the covered blocks' vote success.
     """
-    ciphertext = as_bits(ciphertext)
-    partial_report = as_bits(partial_report)
-    if ciphertext.size != subset.length or partial_report.size != subset.length:
-        raise ValueError("ciphertext and partial_report must match the subset length")
+    ciphertext = _bit_rows(ciphertext, subset.length, "ciphertext")
+    partial_report = _bit_rows(partial_report, subset.length, "partial_report")
+    if partial_report.shape != ciphertext.shape:
+        raise ValueError("ciphertext and partial_report must have one shape")
     sensed = np.unique(np.asarray(sensed_channels, dtype=np.int64))
     if sensed.size and (sensed[0] < 0 or sensed[-1] >= subset.length):
         raise ValueError("sensed channel indices out of range")
     covered = np.zeros(subset.length)
     covered[sensed] = 1.0
-    pad = recover_pads(partial_report[None], ciphertext[None], subset, rng, weights=covered)[0]
+    pad = _recover(partial_report, ciphertext, subset, rng, weights=covered)
     return _outcome(ciphertext, pad, int(sensed.size), true_pad)
 
 
@@ -140,6 +172,11 @@ def history_act(
     true_pad: np.ndarray | None = None,
 ) -> AttackOutcome:
     """Free-ride on last round's sensing: run the ordinary vote recovery
-    with the outdated report as if it were current."""
-    pad = recover_pad(stale_report, ciphertext, subset, rng)
-    return _outcome(as_bits(ciphertext), pad, as_bits(stale_report).size, true_pad)
+    with the outdated report, or a (T, M) stack of them, as if it were
+    current."""
+    ciphertext = _bit_rows(ciphertext, subset.length, "ciphertext")
+    stale_report = _bit_rows(stale_report, subset.length, "stale_report")
+    if stale_report.shape != ciphertext.shape:
+        raise ValueError("stale_report and ciphertext must have one shape")
+    pad = _recover(stale_report, ciphertext, subset, rng)
+    return _outcome(ciphertext, pad, subset.length, true_pad)

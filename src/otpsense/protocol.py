@@ -64,13 +64,28 @@ def _digits(ranks: np.ndarray, count: int) -> np.ndarray:
 def _draw_digits(rng: np.random.Generator, count: int, shape: tuple = ()) -> np.ndarray:
     """Digits of uniform ranks over 2**count, shape (*shape, count).  Up to
     RANK_BITS digits this is one `rng.integers(2**count, size=shape)` call;
-    a wider rank is drawn row by row in RANK_BITS-digit chunks, most
-    significant chunk first."""
+    wider ranks are drawn as `_draw_rank_runs` does."""
     if count <= RANK_BITS:
         return _digits(np.asarray(rng.integers(1 << count, size=shape)), count)
-    chunks = [min(RANK_BITS, count - lo) for lo in range(0, count, RANK_BITS)]
-    rows = [np.concatenate([_draw_digits(rng, c) for c in chunks]) for _ in range(math.prod(shape))]
-    return np.array(rows, dtype=np.uint8).reshape(*shape, count)
+    return _draw_rank_runs(rng, np.full(math.prod(shape), count)).reshape(*shape, count)
+
+
+def _draw_rank_runs(rng: np.random.Generator, counts: np.ndarray) -> np.ndarray:
+    """Digits of one uniform rank over 2**c per entry c >= 1 of `counts`,
+    concatenated in order, most significant first: a flat uint8 array of
+    counts.sum() digits.  Each rank is split into RANK_BITS-digit chunks,
+    most significant chunk first, and one `rng.integers` call over the
+    array of chunk bounds draws them all, from the same random numbers as
+    one `rng.integers(2**width)` call per chunk."""
+    chunks = -(-counts // RANK_BITS)
+    widths = np.full(int(chunks.sum()), RANK_BITS, dtype=np.int64)
+    widths[np.cumsum(chunks) - 1] = counts - RANK_BITS * (chunks - 1)
+    ranks = rng.integers(np.left_shift(1, widths))
+    # the digit at flat position p of a chunk ending at position e is bit
+    # e - 1 - p of its rank
+    ends = np.cumsum(widths)
+    shifts = np.repeat(ends - 1, widths) - np.arange(widths.sum())
+    return ((np.repeat(ranks, widths) >> shifts) & 1).astype(np.uint8)
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,9 +370,11 @@ def _vote_blocks(
         margins = whole + np.add.reduceat((targets[lo:lo + step] ^ base) * lost, starts, axis=1)
         digits[lo:lo + step] = subset.base_pad[::subset.block_length] ^ (margins < 0)
         tied[lo:lo + step] = margins == 0
-    for k in np.flatnonzero(tied.any(axis=1)):
-        blocks = np.flatnonzero(tied[k])
-        digits[k, blocks] = _draw_digits(rng, blocks.size)
+    counts = tied.sum(axis=1)
+    if counts.any():
+        # each tied row's rank, in row order; its digits fill the row's tied
+        # blocks in block order, which is the mask's row-major order
+        digits[tied] = _draw_rank_runs(rng, counts[counts > 0])
     return subset._from_digits(digits)
 
 
@@ -389,8 +406,9 @@ def recover_pads(
       weights.  An even split ties the block.  A row's t tied pads differ
       only on its tied blocks, so the tie draw is one rank
       `rng.integers(2**t)` whose digits, most significant first, give each
-      tied block the alternative starting with that digit (past RANK_BITS
-      tied blocks, see `_draw_digits`).
+      tied block the alternative starting with that digit.  One
+      `rng.integers` call draws every tied row's rank, from the same random
+      numbers as a draw per row (see `_draw_rank_runs`).
     * Explicit pads: writing the target bits t and pad bits p as signs 2t-1
       and 2p-1, the weighted agreement is
       (sum(w) + sum(w * (2t-1) * (2p-1))) / 2, so every row's scores come

@@ -5,16 +5,18 @@ profiles), the pad subset construction, the fusion rule and the horizon.
 The round engine runs each chunk of rounds in the protocol's phase order:
 channel evolution, sensing, publication, attacks, full-mesh exchange,
 recovery and decryption, fusion.  It draws every stream for the whole chunk
-at once, runs only the attackers slot by slot, and makes one recovery call
-and one fusion call per chunk.  A chunk holds at most ROUND_CHUNK (round,
-row, channel) cells, so memory does not grow with the horizon.
+at once: each attacker makes one call per kind of attack, and the honest
+users one recovery call and one fusion call, per chunk.  A chunk holds at
+most ROUND_CHUNK (round, row, channel) cells, so memory does not grow with
+the horizon.
 `run_simulation` runs the horizon chunk by chunk and aggregates metrics;
 `run_experiment` sweeps one or two scenario parameters, each sweep point on
 an independent random stream derived from (seed, point index), optionally on
 a process pool.
 
 Randomness is split into named streams (channel evolution, per-user sensing,
-pad draws, attacker choices, vote tie-breaks) spawned from the scenario seed,
+pad draws, vote tie-breaks, and per attacker one stream for each kind of
+draw it makes) spawned from the scenario seed,
 so runs with the protocol enabled and disabled see identical channel truth
 and detector noise, and results never depend on worker scheduling.  Each
 stream is consumed by one kind of call only, and a chunk's draw of T rounds
@@ -166,6 +168,15 @@ def _round_cells(sc: Scenario) -> int:
 
 
 @dataclass(frozen=True, eq=False)
+class _Attack:
+    """One attacker's attempts against the designated target over a chunk."""
+
+    rounds: np.ndarray                # (T,) bool: the rounds it attacked in
+    outcome: adversary.AttackOutcome  # stacked over those A rounds: (A, M) rows
+    hits: np.ndarray                  # (A,) bool: it recovered the target's pad
+
+
+@dataclass(frozen=True, eq=False)
 class _Rounds:
     """What a chunk of T rounds produced, each array on a leading round axis."""
 
@@ -175,28 +186,42 @@ class _Rounds:
     pads: np.ndarray | None              # (T, N, M); None in plaintext
     recovery_success: np.ndarray | None  # (T, N, N) float, NaN where not attempted
     decisions: np.ndarray                # (T, honest users, M) fused, in user order
-    attacks: list[dict[int, adversary.AttackOutcome]]
+    attacks: dict[int, _Attack]          # by attacker, in user order
+
+
+# the kinds of draw each attacker role makes, one generator per (user, kind)
+ATTACK_DRAWS = {"ees": ("pick", "flips", "decode"), "pes": ("ties",), "history": ("ties",)}
 
 
 @dataclass
 class _Streams:
+    """The scenario's generators, one per key spawned from the seed.  Key 2
+    is the attackers': attacker i draws its kind j (ATTACK_DRAWS[role][j])
+    from key 2's grandchild (i, j), which spawning key 2 per user and then
+    user i's key per kind would give.  So each (attacker, kind) pair has a
+    generator of its own: no attacker draw moves another stream, a stacked
+    draw takes the same random numbers as per-round ones, and honest users
+    get none."""
+
     channel: np.random.Generator
     pads: np.random.Generator
-    attacker: np.random.Generator
     ties: np.random.Generator
     subset: np.random.Generator
     sensing: list[np.random.Generator]
+    attack: dict[tuple[int, str], np.random.Generator]  # by (user, kind)
 
 
-def _spawn_streams(seed: int, num_users: int) -> _Streams:
-    keys = np.random.SeedSequence(seed).spawn(5 + num_users)
+def _spawn_streams(seed: int, users: tuple[UserSpec, ...]) -> _Streams:
+    keys = np.random.SeedSequence(seed).spawn(5 + len(users))
     return _Streams(
         channel=np.random.default_rng(keys[0]),
         pads=np.random.default_rng(keys[1]),
-        attacker=np.random.default_rng(keys[2]),
         ties=np.random.default_rng(keys[3]),
         subset=np.random.default_rng(keys[4]),
         sensing=[np.random.default_rng(k) for k in keys[5:]],
+        # made directly, without spawning a key per user
+        attack={(i, kind): np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2, i, j)))
+                for i, u in enumerate(users) for j, kind in enumerate(ATTACK_DRAWS.get(u.role, ()))},
     )
 
 
@@ -230,10 +255,13 @@ def _run_rounds(
     fusion for every honest user.  Every stream is drawn for the whole
     chunk at once, from the same random numbers as slot-by-slot draws: the
     channel chain, each user's sensing, and the pads of every publisher
-    (own reports, then pes users).  Only the attackers run slot by slot, on
-    the attacker stream; then one `protocol.recover_pads` call covers every
-    pair of every slot, round-major, and one `fusion.fuse` call every
-    honest user of every slot.
+    (own reports, then pes users).  Each attacker acts once per chunk on
+    the stacked rounds, drawing from its own streams (see `_Streams`); a
+    history user acts on the chunk's replay rounds only.  Then one
+    `protocol.recover_pads` call covers every pair of every slot,
+    round-major, and one `fusion.fuse` call every honest user of every
+    slot.  Attacks are scored against the target's pads here, so no
+    ground truth is passed to the attacker ops.
     """
     n = len(sc.users)
     m = sc.num_channels
@@ -269,60 +297,72 @@ def _run_rounds(
         pads[:, publishers] = subset.draw(streams.pads, (rounds, publishers.size))
         ciphertexts[:, own] ^= pads[:, own]
 
-    attacks: list[dict[int, adversary.AttackOutcome]] = [{} for _ in range(rounds)]
-    attackers = [i for i in range(n) if roles[i] != "honest"]
+    # phase 2: copiers publish (ees forwards a copy, pes fills its gaps by
+    # cracking), and every attacker measures its attack on the designated
+    # target, each in one call per kind over the whole chunk
+    attacks: dict[int, _Attack] = {}
     observed = ciphertexts[:, honest]
-    for t in range(rounds if attackers else 0):
-        copy_previous = sc.ees_copy_previous_round and (t > 0 or state.ciphertexts is not None)
-        observable = (observed[t - 1] if t else state.ciphertexts) if copy_previous else observed[t]
-        cipher, pad = ciphertexts[t, target], None if pads is None else pads[t, target]
-        # phase 2: copiers (ees forwards a copy, pes fills its gaps by cracking)
-        for i in attackers:
-            u = sc.users[i]
-            if u.role == "ees":
-                forged = adversary.ees_act(observable, streams.attacker, sc.ees_modification)
-                ciphertexts[t, i] = forged
-                if not copy_previous and sc.ees_modification == 0.0:
-                    # verbatim intra-round copy: provenance is whichever honest
-                    # ciphertext it equals (content, hence pad, is inherited)
-                    src = honest[(observable == forged).all(axis=1).argmax()]
-                    reports[t, i] = reports[t, src]
-                    if sc.encrypted:
-                        pads[t, i] = pads[t, src]
-                        pad_known[t, i] = True
-                elif not sc.encrypted:
-                    reports[t, i] = forged
-            elif u.role == "pes":
-                k = u.sensed_channels
-                partial = np.zeros(m, dtype=np.uint8)
-                partial[:k] = sensed[t, i, :k]
-                if sc.encrypted:
-                    attacks[t][i] = adversary.pes_act(
-                        np.arange(k), partial, cipher, subset, streams.attacker, true_pad=pad,
-                    )
-                    merged = attacks[t][i].guessed_states.copy()
-                else:
-                    merged = reports[t, target].copy()
-                merged[:k] = partial[:k]
-                reports[t, i] = merged
-                ciphertexts[t, i] = merged if pads is None else merged ^ pads[t, i]
-        # phase 3: remaining attack measurements against the designated target
-        for i in attackers if sc.encrypted else ():
-            if roles[i] == "ees":
-                attacks[t][i] = adversary.ees_decode_attempt(cipher, subset, streams.attacker,
-                                                             true_pad=pad)
-            elif roles[i] == "history" and replay[t]:
-                attacks[t][i] = adversary.history_act(stale[t, i], cipher, subset,
-                                                      streams.attacker, true_pad=pad)
+    cipher = ciphertexts[:, target]
+    # ees users copy from the previous round when told to, from round 1 of
+    # the run on; round 0 of a chunk takes the previous chunk's ciphertexts
+    copy_previous = np.full(rounds, sc.ees_copy_previous_round)
+    copy_previous[0] &= state.ciphertexts is not None
+    observable = observed
+    if copy_previous.any():
+        previous = np.concatenate([observed[:1] if state.ciphertexts is None
+                                   else state.ciphertexts[None], observed[:-1]])
+        observable = np.where(copy_previous[:, None, None], previous, observed)
 
-    # phase 4: full-mesh exchange, every honest user receiving from every
+    def attack(i, tried, outcome):
+        hits = (outcome.recovered_pad == pads[tried, target]).all(axis=-1)
+        attacks[i] = _Attack(tried, outcome, hits)
+
+    every = np.ones(rounds, dtype=bool)
+    for i, u in enumerate(sc.users):
+        if u.role == "honest":
+            continue
+        if u.role == "ees":
+            forged = adversary.ees_act(observable, streams.attack[i, "pick"], sc.ees_modification,
+                                       streams.attack[i, "flips"])
+            ciphertexts[:, i] = forged
+            if not sc.encrypted:
+                reports[:, i] = forged
+            elif sc.ees_modification == 0.0:
+                # a verbatim copy of this round's ciphertexts inherits the
+                # content, hence the pad, of the first honest one it equals
+                fresh = np.flatnonzero(~copy_previous)
+                src = honest[(observable[fresh] == forged[fresh, None]).all(axis=2).argmax(axis=1)]
+                reports[fresh, i] = reports[fresh, src]
+                pads[fresh, i] = pads[fresh, src]
+                pad_known[fresh, i] = True
+            if sc.encrypted:
+                attack(i, every, adversary.ees_decode_attempt(cipher, subset,
+                                                              streams.attack[i, "decode"]))
+        elif u.role == "pes":
+            k = u.sensed_channels
+            merged = reports[:, target].copy()
+            if sc.encrypted:
+                partial = np.zeros((rounds, m), dtype=np.uint8)
+                partial[:, :k] = sensed[:, i, :k]
+                outcome = adversary.pes_act(np.arange(k), partial, cipher, subset,
+                                            streams.attack[i, "ties"])
+                attack(i, every, outcome)
+                merged = outcome.guessed_states.copy()
+            merged[:, :k] = sensed[:, i, :k]
+            reports[:, i] = merged
+            ciphertexts[:, i] = merged if pads is None else merged ^ pads[:, i]
+        elif sc.encrypted and replay.any():  # a history user attacks on replay rounds only
+            attack(i, replay, adversary.history_act(stale[replay, i], cipher[replay], subset,
+                                                    streams.attack[i, "ties"]))
+
+    # phase 3: full-mesh exchange, every honest user receiving from every
     # other user; pairs run round-major, then receiver, then sender, which
     # is the order tie-breaks are drawn from streams.ties
     pair_h, senders = np.nonzero(honest[:, None] != np.arange(n))
     receivers = honest[pair_h]
     received = np.take(ciphertexts, senders, axis=1)
 
-    # phase 5: recovery + decryption of every pair of every slot in one call
+    # phase 4: recovery + decryption of every pair of every slot in one call
     recovery = None
     if sc.encrypted:
         own_reports = np.take(reports, receivers, axis=1).reshape(-1, m)
@@ -333,7 +373,7 @@ def _run_rounds(
         recovery[:, receivers, senders] = np.where(
             pad_known[:, senders], (got == np.take(pads, senders, axis=1)).all(axis=2), np.nan)
 
-    # phase 6: one rule and one fusion call for every honest user of every slot
+    # phase 5: one rule and one fusion call for every honest user of every slot
     plain = received.reshape(rounds, honest.size, n - 1, m)
     if sc.include_self:
         plain = np.concatenate([np.take(reports, honest, axis=1)[:, :, None], plain], axis=2)
@@ -399,7 +439,7 @@ def run_simulation(sc: Scenario) -> SimulationSummary:
     honest benchmark the attacker numbers compare against (attackers aim at
     the same target).
     """
-    streams = _spawn_streams(sc.seed, len(sc.users))
+    streams = _spawn_streams(sc.seed, sc.users)
     model = channel_model(sc)
     profiles = detector_profiles(sc)
     subset = build_subset(sc, streams.subset) if sc.encrypted else None
@@ -425,13 +465,15 @@ def run_simulation(sc: Scenario) -> SimulationSummary:
             col, col_known = out.recovery_success[:, :, target], known[:, :, target]
             tgt_ok += int(col[col_known].sum())
             tgt_all += int(col_known.sum())
-        for truth, attacks in zip(out.truth, out.attacks):
-            for i, outcome in attacks.items():
-                attack_all[i] = attack_all.get(i, 0) + 1
-                attack_ok[i] = attack_ok.get(i, 0) + int(bool(outcome.pad_recovered))
-                if sc.users[i].role == "ees":
-                    idx = 2 * truth + outcome.guessed_states
-                    contingency += np.bincount(idx, minlength=4).reshape(2, 2)
+        guesses = []  # (truth, ees guess) cells, as 2 * truth + guess
+        for i, a in out.attacks.items():
+            attack_all[i] = attack_all.get(i, 0) + a.hits.size
+            attack_ok[i] = attack_ok.get(i, 0) + int(a.hits.sum())
+            if sc.users[i].role == "ees":
+                guesses.append(2 * out.truth[a.rounds] + a.outcome.guessed_states)
+        if guesses:
+            contingency += np.bincount(np.concatenate(guesses, axis=None),
+                                       minlength=4).reshape(2, 2)
 
     masking = None
     if sc.encrypted:
@@ -444,8 +486,8 @@ def run_simulation(sc: Scenario) -> SimulationSummary:
         metrics=metrics,
         honest_recovery_rate=rec_ok / rec_all if rec_all else None,
         target_recovery_rate=tgt_ok / tgt_all if tgt_all else None,
-        attacker_success={i: attack_ok[i] / attack_all[i] for i in attack_all},
-        attacker_attempts=attack_all,
+        attacker_success={i: attack_ok[i] / attack_all[i] for i in sorted(attack_all)},
+        attacker_attempts={i: attack_all[i] for i in sorted(attack_all)},
         ees_contingency=contingency,
         mean_masking_level=masking,
     )
@@ -541,7 +583,7 @@ def run_experiment(
         channel_model(point)
         detector_profiles(point)
         if point.encrypted:
-            build_subset(point, _spawn_streams(point.seed, len(point.users)).subset)
+            build_subset(point, _spawn_streams(point.seed, point.users).subset)
 
     workers = min(workers, len(tasks))
     if workers > 1:

@@ -235,3 +235,65 @@ def test_history_attack_pays_the_persistence_penalty():
     )
     assert gap_21 > 3 * sigma_diff
     assert fresh_rate - stale_rate > gap_21 - 3 * sigma_diff
+
+
+def test_stacked_ees_act_matches_per_round_calls():
+    observed = np.random.default_rng(30).integers(0, 2, size=(6, 4, 13), dtype=np.uint8)
+    for modification in (0.0, 0.3):
+        picks = [np.random.default_rng(31) for _ in range(2)]
+        flips = [np.random.default_rng(32) for _ in range(2)]
+        got = ees_act(observed, picks[0], modification, flips[0])
+        want = np.stack([ees_act(rows, picks[1], modification, flips[1]) for rows in observed])
+        assert got.shape == (6, 13) and np.array_equal(got, want), modification
+        for stacked, rows in (picks, flips):
+            assert stacked.bit_generator.state == rows.bit_generator.state, modification
+    with pytest.raises(ValueError):
+        ees_act(observed[:, :0], picks[0])
+
+
+@pytest.mark.parametrize("build", [
+    lambda rng: generate_subset(13, 4, rng),   # even blocks and a 1-bit tail: vote ties
+    lambda rng: generate_pairs(13, 3, rng),
+    lambda rng: generate_subset(130, 1, rng),  # blind votes tie past RANK_BITS blocks
+])
+def test_stacked_attacks_match_per_round_calls(build):
+    rng = np.random.default_rng(33)
+    sub = build(rng)
+    m = sub.length
+    reports = rng.integers(0, 2, size=(7, m), dtype=np.uint8)
+    ciphers = rng.integers(0, 2, size=(7, m), dtype=np.uint8)
+    true_pads = sub.draw(rng, (7,))
+    true_pads[::2] = reports[::2] ^ ciphers[::2]  # some rounds a vote can hit
+    attacks = {
+        "ees_decode_attempt": lambda r, c, p, g: ees_decode_attempt(c, sub, g, true_pad=p),
+        "pes_act": lambda r, c, p, g: pes_act(np.arange(0, m, 3), r, c, sub, g, true_pad=p),
+        "pes_act blind": lambda r, c, p, g: pes_act([], r, c, sub, g, true_pad=p),
+        "history_act": lambda r, c, p, g: history_act(r, c, sub, g, true_pad=p),
+    }
+    for name, attack in attacks.items():
+        stacked_rng, row_rng = np.random.default_rng(34), np.random.default_rng(34)
+        got = attack(reports, ciphers, true_pads, stacked_rng)
+        rows = [attack(*args, row_rng) for args in zip(reports, ciphers, true_pads)]
+        assert np.array_equal(got.recovered_pad, np.stack([o.recovered_pad for o in rows])), name
+        assert np.array_equal(got.guessed_states, np.stack([o.guessed_states for o in rows])), name
+        assert got.pad_recovered.dtype == bool, name
+        assert got.pad_recovered.tolist() == [o.pad_recovered for o in rows], name
+        assert all(type(o.pad_recovered) is bool for o in rows), name
+        assert got.channels_sensed == rows[0].channels_sensed, name
+        assert stacked_rng.bit_generator.state == row_rng.bit_generator.state, name
+        assert attack(reports, ciphers, None, stacked_rng).pad_recovered is None, name
+
+
+def test_stacked_attack_validation():
+    rng = np.random.default_rng(35)
+    sub = generate_subset(8, 2, rng)
+    stack = np.zeros((3, 8), dtype=np.uint8)
+    for bad in (stack[:, :7], stack[None], stack + 2):
+        with pytest.raises(ValueError):
+            ees_decode_attempt(bad, sub, rng)
+        with pytest.raises(ValueError):
+            history_act(bad, bad, sub, rng)
+    with pytest.raises(ValueError):
+        pes_act([0], stack, stack[0], sub, rng)
+    with pytest.raises(ValueError):
+        history_act(stack[:2], stack, sub, rng)

@@ -54,17 +54,22 @@ SCENARIOS = {
 # the pes user started voting through `recover_pads` (one tie-break draw per
 # call instead of one per block).  "attackers", "phi2_tail" and "phi6_tail",
 # whose widths do not divide M, re-recorded when the last block became a
-# plain shorter run and the vote stopped counting its leading positions twice
+# plain shorter run and the vote stopped counting its leading positions twice.
+# "attackers", "ees_previous_round" and "plaintext" (whose ees users draw
+# from attacker streams) re-recorded when each (attacker, kind of draw) pair
+# got its own stream, so that every attacker acts once per chunk of rounds:
+# attackers 39d44e0c -> e0d71102, ees_previous_round 09d8c107 -> a80a9b8f,
+# plaintext 0d332f0f -> 926dc9b4
 DIGESTS = {
-    "attackers": "39d44e0c8ad212d907ad25b8b65524e157321a50c5642c9745519240fcd86731",
-    "ees_previous_round": "09d8c107acb91c459ebc5f1f7cc9834b4e24962680f4adfaa1c558a728b696ec",
+    "attackers": "e0d711027f12f446a689505cb54b351231aa73c485265d2fad1b82c50f2eab26",
+    "ees_previous_round": "a80a9b8f99b3466e4c50b24bf334494ddea527c4d6cc27ca57b4e2ff7016c889",
     "p_target_omega": "303ecc97f6dd59a722469562f3b1269af0c183ece492ec6abcd781b2d23ffed6",
     "pairs1_even_band": "9e1c127ac33b367b74ea509677ceadebf45e2bfde10d390196cbdf41be61bd52",
     "pairs4_m6": "a766067ee5bf3fb018ce6262b44ebef44de14d084a9ef879c6417271fb4917d2",
     "phi10_even_width": "fe29f9e5706a8609bbd388c52bfc69904af6f48801f72281dc828831396f255c",
     "phi2_tail": "35b50525093f5b27e1d5bd083c1e8d6e12641e223b235907205895f65f9d5c9e",
     "phi6_tail": "b6a1535d4f5d62bd19c8486c5119da8a9333456afc5f2fbdda2d72e0290d167a",
-    "plaintext": "0d332f0f355a12fb5259d23d7df998592caa8d7c9a97c045e08c43bbaa642785",
+    "plaintext": "926dc9b44b08a9eb0714634ef35e0b6b6c8ad16fde363710e6b871b203bcaa05",
     "threshold_no_self": "c2793a152adb5babd9be204c8512aa6beee78af9ebea6faaba12d2c0e8a2bf67",
 }
 

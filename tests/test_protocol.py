@@ -501,6 +501,32 @@ def test_ranks_past_rank_bits_draw_in_chunks():
     assert "pads" not in vars(sub)
 
 
+def test_one_tie_draw_per_vote_equals_a_draw_per_tied_row():
+    # 130 blocks of 2 bits under unit weights: a block ties exactly when one
+    # of its two target bits differs from the base pad.  Rows tie on 0, 1,
+    # 62, 63 and 130 blocks, in mixed order; each tied row's rank is drawn
+    # in RANK_BITS-digit chunks, row after row, most significant first
+    sub = generate_subset(260, 2, np.random.default_rng(24))
+    base = sub.base_pad
+    layout = np.random.default_rng(25)
+    tied_counts = (62, 0, 130, 1, 63, 0)
+    tied = [np.sort(layout.permutation(130)[:k]) for k in tied_counts]
+    targets = np.tile(base, (len(tied), 1))
+    for row, blocks in zip(targets, tied):
+        row[2 * blocks + layout.integers(2, size=blocks.size)] ^= 1
+    got_rng, want_rng = np.random.default_rng(26), np.random.default_rng(26)
+    got = recover_pads(np.zeros_like(targets), targets, sub, got_rng)
+    for row, blocks in zip(got, tied):
+        widths = [min(RANK_BITS, blocks.size - lo) for lo in range(0, blocks.size, RANK_BITS)]
+        digits = "".join(format(int(want_rng.integers(2 ** w)), f"0{w}b") for w in widths)
+        want = base.copy()
+        for block, digit in zip(blocks, digits):
+            if int(digit) != base[2 * block]:
+                want[2 * block:2 * block + 2] ^= 1
+        assert np.array_equal(row, want)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 def test_recover_pads_validation():
     sub = generate_pairs(4, 1, np.random.default_rng(0))
     rng = np.random.default_rng(0)

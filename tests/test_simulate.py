@@ -182,12 +182,12 @@ def test_recovery_matrix_excludes_self():
 def test_ees_copies_an_honest_ciphertext_and_inherits_pad():
     sc = small_scenario(users=(UserSpec(), UserSpec(), UserSpec(role="ees")))
     rr = run_one_round(sc)
-    ciphertexts, pads, attacks = rr.ciphertexts[0], rr.pads[0], rr.attacks[0]
+    ciphertexts, pads, attacks = rr.ciphertexts[0], rr.pads[0], rr.attacks
     assert any(np.array_equal(ciphertexts[2], ciphertexts[j]) for j in (0, 1))
     src = 0 if np.array_equal(ciphertexts[2], ciphertexts[0]) else 1
     assert np.array_equal(pads[2], pads[src])
-    assert 2 in attacks
-    assert attacks[2].channels_sensed == 0
+    assert attacks[2].rounds.tolist() == [True]
+    assert attacks[2].outcome.channels_sensed == 0
 
 
 def test_pes_round_outcome():
@@ -196,8 +196,8 @@ def test_pes_round_outcome():
         phi=4, pairs=None,
     )
     rr = run_one_round(sc)
-    assert 2 in rr.attacks[0]
-    assert rr.attacks[0][2].channels_sensed == 4
+    assert rr.attacks[2].rounds.tolist() == [True]
+    assert rr.attacks[2].outcome.channels_sensed == 4
     # the published report carries the honestly sensed prefix
     assert rr.reports[0, 2].shape == (12,)
 
@@ -551,8 +551,9 @@ def test_summary_row_keys():
 # ---- reference engine ---------------------------------------------------
 #
 # The slot-by-slot engine the chunked one replaced: every stream drawn one
-# round at a time, one recovery and one fusion call per round.  The chunked
-# engine must reproduce it byte for byte, for every role.
+# round at a time, one recovery and one fusion call per round, and each
+# attacker's one-round calls on its own streams, given the ground-truth pad.
+# The chunked engine must reproduce it byte for byte, for every role.
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -602,7 +603,8 @@ def reference_round(sc, subset, model, profiles, state, streams):
 
     for i, u in enumerate(sc.users):
         if u.role == "ees":
-            forged = adversary.ees_act(observable, streams.attacker, sc.ees_modification)
+            forged = adversary.ees_act(observable, streams.attack[i, "pick"], sc.ees_modification,
+                                       streams.attack[i, "flips"])
             ciphertexts[i] = forged
             if not copy_previous and sc.ees_modification == 0.0:
                 src = honest[(observable == forged).all(axis=1).argmax()]
@@ -618,7 +620,7 @@ def reference_round(sc, subset, model, profiles, state, streams):
             partial[mask] = sensed[i][mask]
             if sc.encrypted:
                 outcome = adversary.pes_act(mask, partial, ciphertexts[target], subset,
-                                            streams.attacker, true_pad=pads[target])
+                                            streams.attack[i, "ties"], true_pad=pads[target])
                 attacks[i] = outcome
                 merged = outcome.guessed_states.copy()
             else:
@@ -630,10 +632,10 @@ def reference_round(sc, subset, model, profiles, state, streams):
         for i, u in enumerate(sc.users):
             if u.role == "ees":
                 attacks[i] = adversary.ees_decode_attempt(
-                    ciphertexts[target], subset, streams.attacker, true_pad=pads[target])
+                    ciphertexts[target], subset, streams.attack[i, "decode"], true_pad=pads[target])
             elif u.role == "history" and stale is not None:
-                attacks[i] = adversary.history_act(
-                    stale[i], ciphertexts[target], subset, streams.attacker, true_pad=pads[target])
+                attacks[i] = adversary.history_act(stale[i], ciphertexts[target], subset,
+                                                   streams.attack[i, "ties"], true_pad=pads[target])
 
     pair_h, senders = np.nonzero(honest[:, None] != np.arange(n))
     receivers = honest[pair_h]
@@ -662,7 +664,7 @@ def reference_round(sc, subset, model, profiles, state, streams):
 
 
 def start(sc):
-    streams = _spawn_streams(sc.seed, len(sc.users))
+    streams = _spawn_streams(sc.seed, sc.users)
     subset = build_subset(sc, streams.subset) if sc.encrypted else None
     return (sc, subset, channel_model(sc), detector_profiles(sc), _State(), streams)
 
@@ -701,8 +703,8 @@ def reference_simulation(sc):
                              np.array([r.truth for r in rounds])),
         honest_recovery_rate=None if rec is None else rate(rec),
         target_recovery_rate=None if rec is None else rate(rec[:, :, target]),
-        attacker_success={i: attack_ok[i] / attack_all[i] for i in attack_all},
-        attacker_attempts=attack_all,
+        attacker_success={i: attack_ok[i] / attack_all[i] for i in sorted(attack_all)},
+        attacker_attempts={i: attack_all[i] for i in sorted(attack_all)},
         ees_contingency=contingency,
         mean_masking_level=masking,
     )
@@ -752,13 +754,28 @@ def test_run_simulation_matches_the_reference_engine_field_by_field(name):
     assert same(run_simulation(sc), reference_simulation(sc))
 
 
+def stacked_attacks(want):
+    """The reference rounds' attacks as the engine's per-attacker records:
+    the rounds each attacker attacked in, its outcomes stacked over them
+    (scored by the engine, so with no pad_recovered) and their hits."""
+    out = {}
+    for i in sorted({i for rr in want for i in rr.attacks}):
+        rows = [rr.attacks[i] for rr in want if i in rr.attacks]
+        outcome = adversary.AttackOutcome(np.stack([o.guessed_states for o in rows]),
+                                          np.stack([o.recovered_pad for o in rows]), None,
+                                          rows[0].channels_sensed)
+        out[i] = simulate._Attack(np.array([i in rr.attacks for rr in want]), outcome,
+                                  np.array([o.pad_recovered for o in rows]))
+    return out
+
+
 def assert_chunk_is(got, want):
     """A chunk the engine ran equals the reference rounds it covers, stacked."""
     for field in ("truth", "reports", "ciphertexts", "pads", "recovery_success"):
         rows = [getattr(rr, field) for rr in want]
         assert same(getattr(got, field), None if rows[0] is None else np.stack(rows)), field
     assert same(got.decisions, np.stack([np.stack(list(rr.decisions.values())) for rr in want]))
-    assert same(got.attacks, [rr.attacks for rr in want])
+    assert same(got.attacks, stacked_attacks(want))
 
 
 @pytest.mark.parametrize("name", sorted(ENGINE_SCENARIOS))
