@@ -12,7 +12,10 @@ every pad bit to be marginally Bernoulli(1/2) (`xi_profile` == 0.5), which
 makes the ciphertext bit an unbiased coin regardless of the state.  The
 converse does not hold for arbitrary pad collections (a set can hit
 xi == 0.5 everywhere without containing complements), but zero per-bit
-leakage needs only xi == 0.5.
+leakage needs only xi == 0.5.  Such fair-coin channels, every channel of a
+complement-closed subset, leak exactly 0 for any population and are
+reported as 0.0 without entering the kernel below (which gives 0.0 on them
+too); inputs are still validated on every channel.
 
 Several senders draw their pads independently, so their ciphertext bits are
 conditionally independent given the state.  Senders with equal detector
@@ -22,7 +25,8 @@ is Binomial(n, e), and the mutual information of the counts equals that of
 the bit vectors.  The joint law is the outer product of the groups'
 binomial pmfs, so a homogeneous population needs n + 1 outcomes instead of
 2**n, and one where every sender differs needs 2**n as before.  The
-outcome table, prod(n_g + 1) over groups, is capped at MAX_JOINT_OUTCOMES.
+outcome table, prod(n_g + 1) over groups, is capped at MAX_JOINT_OUTCOMES
+when some channel needs the kernel.
 Large groups make outcome laws as small as pf**n, subnormal or zero, so the
 ratio of an outcome's two state laws is clipped to [2**-1000, 2**1000]
 before its logarithms are taken; that moves no term by more than 2**-989
@@ -121,9 +125,10 @@ def _mutual_information(laws: np.ndarray, counts, occupancy: np.ndarray) -> np.n
 
 
 def _senders(subset, occupancy, profiles, channels: slice):
-    """Validated kernel inputs on `channels`: occupancy (C,), ciphertext laws
-    (D, 2, C) of the D distinct profiles, their sender counts, and each
-    sender's index among them."""
+    """Validated kernel inputs on `channels`: occupancy (C,), the (C,) mask
+    of leaky channels (xi != 1/2), ciphertext laws (D, 2, L) of the D
+    distinct profiles on the L leaky channels, their sender counts, and
+    each sender's index among them."""
     xi = subset.xi[channels]
     occ = np.broadcast_to(np.asarray(occupancy, dtype=float), xi.shape)
     if not ((occ >= 0) & (occ <= 1)).all():
@@ -141,7 +146,8 @@ def _senders(subset, occupancy, profiles, channels: slice):
         index[x] = group_of[key]
     counts = np.bincount(index)
     outcomes = math.prod(int(n) + 1 for n in counts)
-    if outcomes > MAX_JOINT_OUTCOMES:
+    leaky = xi != 0.5
+    if leaky.any() and outcomes > MAX_JOINT_OUTCOMES:
         raise ValueError(
             f"{len(profiles)} senders in {len(distinct)} distinct profiles need {outcomes} "
             f"count outcomes, past the {MAX_JOINT_OUTCOMES} of exact analysis"
@@ -151,10 +157,11 @@ def _senders(subset, occupancy, profiles, channels: slice):
             raise ValueError(
                 f"profile covers {profile.num_channels} channels, subset pads {subset.length}"
             )
-    report_one = np.array([[p.false_alarm[channels], 1.0 - p.miss[channels]] for p in distinct])
+    report_one = np.array([[p.false_alarm[channels][leaky], 1.0 - p.miss[channels][leaky]]
+                           for p in distinct])
     # XOR with an independent pad bit that is zero with probability xi
-    laws = xi * report_one + (1.0 - xi) * (1.0 - report_one)
-    return occ, laws, counts, index
+    laws = xi[leaky] * report_one + (1.0 - xi[leaky]) * (1.0 - report_one)
+    return occ, leaky, laws, counts, index
 
 
 def masking_level(
@@ -197,12 +204,13 @@ def joint_masking_level(
     ------
     ValueError
         No profiles, or a count-outcome table past MAX_JOINT_OUTCOMES
-        (more than 20 senders when all differ).
+        (more than 20 senders when all differ) on a channel with
+        xi != 1/2.
     """
     if not 0 <= channel < subset.length:
         raise ValueError(f"channel {channel} out of range for length {subset.length}")
-    occ, laws, counts, _ = _senders(subset, occupancy, profiles, slice(channel, channel + 1))
-    return float(_mutual_information(laws, counts, occ)[0])
+    occ, leaky, laws, counts, _ = _senders(subset, occupancy, profiles, slice(channel, channel + 1))
+    return float(_mutual_information(laws, counts, occ)[0]) if leaky[0] else 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,12 +253,20 @@ def leakage_report(
     """Evaluate per-sender and joint masking levels on every channel.
 
     `occupancy` may be a scalar or a per-channel vector.  The per-sender
-    levels are evaluated once per distinct profile.
+    levels are evaluated once per distinct profile.  Fair-coin channels
+    (xi == 1/2) are 0.0 without the kernel, so a complement-closed subset
+    costs one validation pass whatever the number of senders.
     """
-    occ, laws, counts, index = _senders(subset, occupancy, profiles, slice(None))
-    d, m = laws.shape[0], occ.size
-    # every distinct sender alone, its channels laid end to end
-    alone = _mutual_information(
-        laws.transpose(1, 0, 2).reshape(1, 2, d * m), (1,), np.tile(occ, d)
-    ).reshape(d, m)
-    return LeakageReport(alone[index], _mutual_information(laws, counts, occ), subset.xi)
+    occ, leaky, laws, counts, index = _senders(subset, occupancy, profiles, slice(None))
+    d = laws.shape[0]
+    alone, joint = np.zeros((d, occ.size)), np.zeros(occ.size)
+    if leaky.any():
+        # the kernel sums each channel on its own, so a channel's value does
+        # not depend on which others it runs beside
+        live = occ[leaky]
+        # every distinct sender alone, its leaky channels laid end to end
+        alone[:, leaky] = _mutual_information(
+            laws.transpose(1, 0, 2).reshape(1, 2, -1), (1,), np.tile(live, d)
+        ).reshape(d, -1)
+        joint[leaky] = _mutual_information(laws, counts, live)
+    return LeakageReport(alone[index], joint, subset.xi)

@@ -45,6 +45,11 @@ from .spectrum import DetectorProfile
 # entries per float temporary (signed targets, scores) in `recover_pads`
 SCORE_CHUNK = 2 ** 15
 
+# largest (length, num_blocks) margin table a described subset votes with by
+# one matrix product; past it the table is mostly zeros and summing each
+# block with np.add.reduceat is faster
+MARGIN_PRODUCT_CELLS = 2 ** 16
+
 # binary digits of the widest uniform rank one `rng.integers` call draws;
 # wider ranks are drawn in chunks (see `_draw_digits`)
 RANK_BITS = 62
@@ -155,6 +160,13 @@ class PadSubset:
     def size(self) -> int:
         return 1 << self.num_blocks if self.base_pad is not None else self.pads.shape[0]
 
+    def member_keys(self, pads: np.ndarray) -> np.ndarray:
+        """The positions, along the last axis, that tell members of this
+        subset apart: two members are equal exactly when these are.  Members
+        of a described subset differ on whole blocks, so the first position
+        of each block is enough; explicit pads keep every position."""
+        return pads[..., ::self.block_length] if self.base_pad is not None else pads
+
     def block_positions(self, block: int) -> np.ndarray:
         """Bit positions of `block` (0-based): block_length of them, except
         in a shorter last block when block_length does not divide M."""
@@ -177,8 +189,9 @@ class PadSubset:
         block takes the base block or its complement, whichever starts with
         its digit.  In the canonical order the rank whose binary digits these
         are (most significant first) is the pad's index."""
-        flips = digits ^ self.base_pad[::self.block_length]
-        return self.base_pad ^ np.repeat(flips, self.block_length, axis=-1)[..., :self.length]
+        pads = (digits ^ self.base_pad[::self.block_length])[..., self._block_of]
+        pads ^= self.base_pad
+        return pads
 
     def draw(self, rng: np.random.Generator, shape: tuple = ()) -> np.ndarray:
         """Uniformly drawn pads, shape (*shape, length), as a new array: the
@@ -204,6 +217,16 @@ class PadSubset:
         """Unit vote weights.  Unit scores are integers of magnitude <=
         length, which float32 holds exactly below 2**24."""
         return np.ones(self.length, dtype=np.float32 if self.length < 2 ** 24 else np.float64)
+
+    @functools.cached_property
+    def _block_of(self) -> np.ndarray:
+        """The block of each position: (length,)."""
+        return np.arange(self.length) // self.block_length
+
+    @functools.cached_property
+    def _unit_margins(self) -> np.ndarray:
+        """`_margin_table` of the unit weights."""
+        return _margin_table(self, self._unit_weights)
 
     @functools.cached_property
     def _unit_vote(self) -> tuple[np.ndarray, np.ndarray]:
@@ -350,6 +373,14 @@ def _signed(bits: np.ndarray, dtype) -> np.ndarray:
     return out
 
 
+def _margin_table(subset: PadSubset, weights: np.ndarray) -> np.ndarray:
+    """The (length, num_blocks) table whose column b holds -2 * weights on
+    block b's positions and 0 elsewhere."""
+    table = np.zeros((subset.length, subset.num_blocks), dtype=weights.dtype)
+    table[np.arange(subset.length), subset._block_of] = -2 * weights
+    return table
+
+
 def _vote_blocks(
     targets: np.ndarray,
     subset: PadSubset,
@@ -361,17 +392,28 @@ def _vote_blocks(
     starts = np.arange(0, subset.length, subset.block_length)
     # a block's margin is the weight agreeing with the base block minus the
     # weight agreeing with its complement: the block's whole weight, less
-    # twice the weight of the target bits that differ from the base pad
-    whole, lost = np.add.reduceat(weights, starts), -2 * weights
-    digits = np.empty((targets.shape[0], subset.num_blocks), dtype=np.uint8)
-    tied = np.empty(digits.shape, dtype=bool)
+    # twice the weight of the target bits that differ from the base pad.
+    # Up to MARGIN_PRODUCT_CELLS one product with `_margin_table` sums
+    # every block of a row slice; past it np.add.reduceat does.  Both sum
+    # unit and 0/1 weights exactly, so they give the same margins
+    table = lost = None
+    if subset.length * subset.num_blocks <= MARGIN_PRODUCT_CELLS:
+        table = subset._unit_margins if weights is subset._unit_weights else _margin_table(subset, weights)
+    else:
+        lost = -2 * weights
+    margins = np.empty((targets.shape[0], subset.num_blocks), dtype=weights.dtype)
     step = max(1, SCORE_CHUNK // subset.length)
     for lo in range(0, targets.shape[0], step):
-        margins = whole + np.add.reduceat((targets[lo:lo + step] ^ base) * lost, starts, axis=1)
-        digits[lo:lo + step] = subset.base_pad[::subset.block_length] ^ (margins < 0)
-        tied[lo:lo + step] = margins == 0
-    counts = tied.sum(axis=1)
-    if counts.any():
+        flipped = targets[lo:lo + step] ^ base
+        if table is not None:
+            margins[lo:lo + step] = flipped.astype(weights.dtype) @ table
+        else:
+            margins[lo:lo + step] = np.add.reduceat(flipped * lost, starts, axis=1)
+    margins += np.add.reduceat(weights, starts)
+    digits = subset.base_pad[::subset.block_length] ^ (margins < 0)
+    tied = margins == 0
+    if tied.any():
+        counts = tied.sum(axis=1)
         # each tied row's rank, in row order; its digits fill the row's tied
         # blocks in block order, which is the mask's row-major order
         digits[tied] = _draw_rank_runs(rng, counts[counts > 0])
@@ -390,9 +432,9 @@ def recover_pads(
 
     For row k, each candidate pad scores the weights of the positions where
     it agrees with own_reports[k] xor ciphertexts[k]; the best-scoring pad
-    wins.  Ties are broken row by row, in row order, with
-    `rng.choice(tied pad indices)` over the canonical order; rows without a
-    tie draw nothing.  Unit weights count votes and log odds
+    wins.  Ties are broken row by row, in row order, from the same random
+    numbers as `rng.choice(tied pad indices)` over the canonical order;
+    rows without a tie draw nothing.  Unit weights count votes and log odds
     log(eta/(1-eta)) give the likelihood vote.  A voter gives zero weight to
     positions it did not observe: every alternative of an unobserved block
     then ties, and over a product subset the one draw among tied pads is a
@@ -402,18 +444,24 @@ def recover_pads(
 
     * A described subset is a product over blocks, so the best pad takes,
       per block, the base block or its complement, whichever the block's
-      weight agrees with more: O(K*M) per call, in float32 for unit
-      weights.  An even split ties the block.  A row's t tied pads differ
-      only on its tied blocks, so the tie draw is one rank
-      `rng.integers(2**t)` whose digits, most significant first, give each
-      tied block the alternative starting with that digit.  One
-      `rng.integers` call draws every tied row's rank, from the same random
-      numbers as a draw per row (see `_draw_rank_runs`).
+      weight agrees with more, in float32 for unit weights.  Every block
+      margin of a row slice comes from one product with an (M, B) table of
+      the weights, while M*B is at most MARGIN_PRODUCT_CELLS, and from
+      `np.add.reduceat` past it, which is O(K*M) however many blocks there
+      are.  An even split ties the block; when no row ties, the tie pass is
+      skipped.  A row's t tied pads differ only on its tied blocks, so the
+      tie draw is one rank `rng.integers(2**t)` whose digits, most
+      significant first, give each tied block the alternative starting with
+      that digit.  One `rng.integers` call draws every tied row's rank,
+      from the same random numbers as a draw per row (see
+      `_draw_rank_runs`).
     * Explicit pads: writing the target bits t and pad bits p as signs 2t-1
       and 2p-1, the weighted agreement is
       (sum(w) + sum(w * (2t-1) * (2p-1))) / 2, so every row's scores come
       from one matrix product against the subset's signed pads.  Unit-weight
       scores are exact integers in float32; given weights run in float64.
+      One `rng.integers` call over a row slice's tied rows draws the r-th
+      tied pad of each.
 
     Both kernels give the same pads and consume `rng` alike where sums are
     exact (unit or 0/1 weights); given real weights they are summed in
@@ -455,10 +503,13 @@ def recover_pads(
         scores = signed @ signed_pads
         top = scores == scores.max(axis=1, keepdims=True)
         picks[lo:lo + step] = top.argmax(axis=1)
-        if np.count_nonzero(top) == top.shape[0]:
-            continue  # one best pad per row: nothing to break
-        for k in np.flatnonzero(top.sum(axis=1) > 1):
-            picks[lo + k] = rng.choice(np.flatnonzero(top[k]))
+        ties = top.sum(axis=1)
+        rows = np.flatnonzero(ties > 1)
+        if rows.size:
+            # the r-th tied pad of each tied row: `rng.choice` over its t
+            # tied pads is `rng.integers(t)`, so one call draws them all
+            r = rng.integers(ties[rows])
+            picks[lo + rows] = (np.cumsum(top[rows], axis=1) <= r[:, None]).sum(axis=1)
     return subset.pads[picks]
 
 

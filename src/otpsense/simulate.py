@@ -370,8 +370,11 @@ def _run_rounds(
                                     streams.ties).reshape(received.shape)
         received ^= got
         recovery = np.full((rounds, n, n), np.nan)
+        # recovered and sent pads are both members of the subset, so their
+        # member keys decide equality
+        sent = np.take(subset.member_keys(pads), senders, axis=1)
         recovery[:, receivers, senders] = np.where(
-            pad_known[:, senders], (got == np.take(pads, senders, axis=1)).all(axis=2), np.nan)
+            pad_known[:, senders], (subset.member_keys(got) == sent).all(axis=2), np.nan)
 
     # phase 5: one rule and one fusion call for every honest user of every slot
     plain = received.reshape(rounds, honest.size, n - 1, m)

@@ -14,6 +14,7 @@ import json
 
 import pytest
 
+from otpsense import protocol
 from otpsense.simulate import Scenario, UserSpec, run_simulation
 
 HONEST = UserSpec()
@@ -89,4 +90,12 @@ def summary_digest(sc: Scenario) -> str:
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_fixed_seed_summary_is_byte_identical(name):
+    assert summary_digest(SCENARIOS[name]) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_digests_hold_with_reduceat_block_margins(name, monkeypatch):
+    # the per-block np.add.reduceat margins, which described subsets past
+    # MARGIN_PRODUCT_CELLS use, reproduce the product's bytes
+    monkeypatch.setattr(protocol, "MARGIN_PRODUCT_CELLS", 0)
     assert summary_digest(SCENARIOS[name]) == DIGESTS[name]

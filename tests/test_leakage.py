@@ -322,6 +322,75 @@ def test_count_kernel_values_do_not_depend_on_the_chunk(monkeypatch):
     assert np.array_equal(leakage_report(sub, occupancy, profiles).joint_mi, whole.joint_mi)
 
 
+
+def full_kernel(subset, occupancy, profiles):
+    """`leakage_report`'s arrays with every channel, fair coin or not, put
+    through the kernel."""
+    xi = subset.xi
+    occ = np.broadcast_to(np.asarray(occupancy, dtype=float), xi.shape)
+    report_one = np.array([[p.false_alarm, 1.0 - p.miss] for p in profiles])
+    laws = xi * report_one + (1.0 - xi) * (1.0 - report_one)
+    alone = np.array([leakage._mutual_information(law[None], (1,), occ) for law in laws])
+    return alone, leakage._mutual_information(laws, np.ones(len(profiles), dtype=int), occ)
+
+
+def test_fair_coin_channels_skip_the_kernel_bit_for_bit(monkeypatch):
+    # on a generated subset every channel is a fair coin: the report never
+    # enters the kernel, and its zeros are the kernel's, bit for bit
+    rng = np.random.default_rng(10)
+    sub = generate_subset(12, 5, rng)
+    draws = []
+    for _ in range(500):
+        profiles = [DetectorProfile(rng.uniform(0, 1, 12), rng.uniform(0, 1, 12))
+                    for _ in range(int(rng.integers(1, 4)))]
+        occupancy = rng.uniform(0, 1, 12) if rng.random() < 0.5 else float(rng.uniform(0, 1))
+        draws.append((profiles, occupancy, full_kernel(sub, occupancy, profiles)))
+
+    def kernel(*args):
+        raise AssertionError("a fair-coin channel entered the kernel")
+    monkeypatch.setattr(leakage, "_mutual_information", kernel)
+    for profiles, occupancy, (alone, joint) in draws:
+        rep = leakage_report(sub, occupancy, profiles)
+        assert rep.per_channel_mi.tobytes() == alone.tobytes()
+        assert rep.joint_mi.tobytes() == joint.tobytes()
+    # validation still covers every channel and sender
+    with pytest.raises(ValueError):
+        leakage_report(sub, 1.5, profiles)
+    with pytest.raises(ValueError):
+        leakage_report(sub, 0.5, profiles + [DetectorProfile.homogeneous(11, 0.1, 0.1)])
+
+
+def test_closed_subsets_have_no_distinct_sender_cap():
+    # 21 distinct senders would need 2**21 count outcomes, but no channel of
+    # a generated subset needs the kernel
+    sub = generate_subset(10, 3, np.random.default_rng(11))
+    distinct = [DetectorProfile.homogeneous(10, 0.01 * (x + 1), 0.1) for x in range(21)]
+    rep = leakage_report(sub, 0.3, distinct)
+    assert not rep.per_channel_mi.any() and not rep.joint_mi.any()
+    assert joint_masking_level(sub, 0.3, distinct, 4) == 0.0
+    # one leaky channel brings the cap back
+    with pytest.raises(ValueError, match="count outcomes"):
+        leakage_report(PadSubset(sub.pads[:2]), 0.3, distinct)
+
+
+def test_restricted_subset_channels_equal_their_one_channel_kernel_calls():
+    # the benchmark's restricted subset: pads keeping the first pad's block
+    # 0, so only block 0's channels reach the kernel, beside each other
+    rng = np.random.default_rng(12)
+    closed = generate_subset(60, 5, rng)
+    keep = (closed.pads[:, :5] == closed.pads[0, :5]).all(axis=1)
+    sub = PadSubset(closed.pads[keep], closed.block_length, closed.num_blocks)
+    occupancy = np.linspace(0.2, 0.8, 60)
+    profiles = [DetectorProfile.homogeneous(60, fa, miss)
+                for fa, miss, count in ((0.1, 0.1, 5), (0.05, 0.2, 5), (0.2, 0.05, 4))
+                for _ in range(count)]
+    rep = leakage_report(sub, occupancy, profiles)
+    for ch in range(60):
+        assert rep.joint_mi[ch] == joint_masking_level(sub, occupancy[ch], profiles, ch), ch
+        for x, profile in enumerate(profiles):
+            assert rep.per_channel_mi[x, ch] == masking_level(sub, occupancy[ch], profile, ch)
+    assert (rep.joint_mi[:5] > 0).all() and not rep.joint_mi[5:].any()
+
 def test_masking_level_validation():
     sub = generate_pairs(2, 1, np.random.default_rng(0))
     with pytest.raises(ValueError):

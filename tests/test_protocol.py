@@ -527,6 +527,104 @@ def test_one_tie_draw_per_vote_equals_a_draw_per_tied_row():
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
+def vote_geometries(rng):
+    """Described subsets for the margin kernels: odd widths dividing M, even
+    widths that tie, widths that do not divide M, and 130 blocks whose
+    (M, B) table is past MARGIN_PRODUCT_CELLS."""
+    for m, phi in ((99, 11), (30, 10), (20, 4), (23, 5), (22, 7), (520, 4)):
+        yield generate_subset(m, phi, rng)
+
+
+def test_margin_product_and_reduceat_give_the_same_votes(monkeypatch):
+    # unit and 0/1 weights are summed exactly by both kernels, so the
+    # digits, the tied blocks and hence the tie draws agree; log odds are
+    # summed in another order, and with these draws no margin lands within
+    # rounding of zero
+    rng = np.random.default_rng(27)
+    bound = protocol.MARGIN_PRODUCT_CELLS
+    drawn = 0
+    for i, sub in enumerate(vote_geometries(rng)):
+        assert (sub.length * sub.num_blocks <= bound) == (sub.num_blocks < 130)
+        own = (rng.random((300, sub.length)) < 0.5).astype(np.uint8)
+        cipher = (rng.random((300, sub.length)) < 0.5).astype(np.uint8)
+        for j, weights in enumerate((None, coverage_weights(sub, rng),
+                                     log_odds(rng.uniform(0.55, 0.95, sub.length)))):
+            runs = []
+            for cells in (2 ** 62, 0):  # the product, then np.add.reduceat
+                monkeypatch.setattr(protocol, "MARGIN_PRODUCT_CELLS", cells)
+                vote_rng = np.random.default_rng([i, j])
+                runs.append((recover_pads(own, cipher, sub, vote_rng, weights), vote_rng))
+            (product, product_rng), (reduceat, reduceat_rng) = runs
+            assert np.array_equal(product, reduceat), (i, j)
+            assert product_rng.bit_generator.state == reduceat_rng.bit_generator.state, (i, j)
+            fresh = np.random.default_rng([i, j]).bit_generator.state
+            drawn += j < 2 and product_rng.bit_generator.state != fresh
+        assert "pads" not in vars(sub)
+    # ties are really drawn: on even widths and unobserved blocks
+    assert drawn >= 6
+
+
+def test_unit_votes_use_the_product_below_the_bound_only():
+    rng = np.random.default_rng(28)
+    for sub in vote_geometries(rng):
+        zeros = np.zeros((1, sub.length), dtype=np.uint8)
+        recover_pads(zeros, zeros, sub, rng)
+        below = sub.length * sub.num_blocks <= protocol.MARGIN_PRODUCT_CELLS
+        assert ("_unit_margins" in vars(sub)) == below, sub.num_blocks
+
+
+def test_member_keys_decide_equality_on_described_subsets():
+    # members of a described subset that agree on every block's first
+    # position agree everywhere: pairs equal, pairs differing on one later
+    # block only (the short last block too), and random pairs
+    rng = np.random.default_rng(29)
+    for m, phi in ((99, 11), (23, 5), (20, 4), (7, 6), (9, 1)):
+        sub = generate_subset(m, phi, rng)
+        a = sub.draw(rng, (400,))
+        b = a.copy()
+        for row, block in enumerate(rng.integers(1, sub.num_blocks, size=200)):
+            b[row, sub.block_positions(block)] ^= 1
+        b[200:300] = sub.draw(rng, (100,))
+        for x, y in ((a, b), (b, a)):
+            keyed = (sub.member_keys(x) == sub.member_keys(y)).all(axis=-1)
+            assert np.array_equal(keyed, (x == y).all(axis=-1)), (m, phi)
+        assert not keyed[:200].any() and keyed[300:].all()
+        # recovered pads are members: their keys, as digits, rebuild them
+        own = (rng.random((400, m)) < 0.5).astype(np.uint8)
+        got = recover_pads(own, a, sub, rng)
+        assert np.array_equal(sub._from_digits(sub.member_keys(got)), got)
+    explicit = generate_pairs(6, 3, rng)
+    assert explicit.member_keys(explicit.pads) is explicit.pads
+
+
+def test_explicit_tie_draws_match_a_choice_per_tied_row(monkeypatch):
+    # an explicit subset scored under 0/1 weights ties its rows on 2 to 256
+    # pads; each tied row's pick must be `rng.choice` over its tied pads, in
+    # row order, across row slices of the score chunk too
+    rng = np.random.default_rng(30)
+    listed = generate_subset(16, 2, rng).pads
+    sub = PadSubset(listed, 2, 8)
+    tied_counts = set()
+    for i, chunk in enumerate((SCORE_CHUNK, 256 * 7, 256)):
+        monkeypatch.setattr(protocol, "SCORE_CHUNK", chunk)
+        k = int(rng.integers(1, 40))
+        own = (rng.random((k, 16)) < 0.5).astype(np.uint8)
+        cipher = (rng.random((k, 16)) < 0.5).astype(np.uint8)
+        for trial in range(60):
+            weights = coverage_weights(sub, rng)
+            got_rng, want_rng = np.random.default_rng([i, trial]), np.random.default_rng([i, trial])
+            got = recover_pads(own, cipher, sub, got_rng, weights)
+            scores = (sub.pads == (own ^ cipher)[:, None]) @ weights
+            want = []
+            for row in scores:
+                top = np.flatnonzero(row == row.max())
+                tied_counts.add(top.size)
+                want.append(top[0] if top.size == 1 else want_rng.choice(top))
+            assert np.array_equal(got, sub.pads[want]), (i, trial)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state, (i, trial)
+    assert {2, 256} <= tied_counts and len(tied_counts) > 5
+
+
 def test_recover_pads_validation():
     sub = generate_pairs(4, 1, np.random.default_rng(0))
     rng = np.random.default_rng(0)
