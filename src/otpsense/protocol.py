@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import as_bits, complement, random_bits, xor
+from .bits import as_bits, random_bits, xor
 from .spectrum import DetectorProfile
 
 # entries per float temporary (signed targets, scores) in `recover_pads`
@@ -280,7 +280,14 @@ def widen_block(length: int, block_length: int, omega: float) -> int:
 
 def generate_pairs(length: int, pairs: int, rng: np.random.Generator) -> PadSubset:
     """Subset of `pairs` independent random complement pairs (no block
-    structure; block_length = length, a single vote block)."""
+    structure; block_length = length, a single vote block).
+
+    Each attempt draws one random base row, rejected when it or its
+    complement was already taken.  The attempts still needed are drawn in
+    one call, as rows padded to a multiple of 4 bytes: numpy fills uint8
+    draws from 32-bit words and drops a call's unused bytes, so each row
+    takes the same random numbers as one `random_bits(length, rng)` call,
+    and the generator ends where the row-by-row draws leave it."""
     if pairs < 1:
         raise ValueError(f"pairs must be >= 1, got {pairs}")
     if length < 1:
@@ -289,20 +296,39 @@ def generate_pairs(length: int, pairs: int, rng: np.random.Generator) -> PadSubs
         raise ValueError(f"cannot fit {pairs} distinct pairs in {length} bits")
     seen: set[bytes] = set()
     rows = []
-    attempts = 0
+    attempts, cap = 0, 1000 * pairs + 100
     while len(rows) < 2 * pairs:
-        attempts += 1
-        if attempts > 1000 * pairs + 100:
+        draws = min(pairs - len(rows) // 2, cap - attempts)
+        if draws == 0:
             raise ValueError("could not draw distinct pairs; length too small")
-        base = random_bits(length, rng)
-        comp = complement(base)
-        if base.tobytes() in seen or comp.tobytes() in seen:
-            continue
-        seen.add(base.tobytes())
-        seen.add(comp.tobytes())
-        rows.append(base)
-        rows.append(comp)
+        attempts += draws
+        bases = rng.integers(0, 2, size=(draws, -(-length // 4) * 4), dtype=np.uint8)[:, :length]
+        for base, comp in zip(bases, bases ^ 1):
+            key, comp_key = base.tobytes(), comp.tobytes()
+            if key in seen or comp_key in seen:
+                continue
+            seen.update((key, comp_key))
+            rows += (base, comp)
     return PadSubset(np.stack(rows))
+
+
+def block_width(
+    length: int,
+    *,
+    phi: int | None = None,
+    p_target: float | None = None,
+    eta: float | None = None,
+    omega: float = 1.0,
+) -> int | None:
+    """The block width `make_subset` builds a described subset with, or
+    None when it builds pairs (neither p_target nor phi is set)."""
+    if p_target is not None:
+        width = invert_success_rate(p_target, eta)
+    elif phi is not None:
+        width = phi
+    else:
+        return None
+    return widen_block(length, width, omega)
 
 
 def make_subset(
@@ -319,13 +345,10 @@ def make_subset(
     p_target (blocks of the smallest odd width whose predicted rate at
     agreement `eta` reaches it), phi (blocks of that width), or pairs
     (`generate_pairs`).  Block widths are scaled by omega (`widen_block`)."""
-    if p_target is not None:
-        width = invert_success_rate(p_target, eta)
-    elif phi is not None:
-        width = phi
-    else:
+    width = block_width(length, phi=phi, p_target=p_target, eta=eta, omega=omega)
+    if width is None:
         return generate_pairs(length, pairs, rng)
-    return generate_subset(length, widen_block(length, width, omega), rng)
+    return generate_subset(length, width, rng)
 
 
 def encrypt_report(
@@ -373,6 +396,15 @@ def _signed(bits: np.ndarray, dtype) -> np.ndarray:
     return out
 
 
+def _signed_blocks(bits: np.ndarray, subset: PadSubset, dtype) -> np.ndarray:
+    """(..., length) bits as signs 2*bit - 1, cut into the blocks of a
+    described subset: (..., num_blocks, block_length).  A shorter last block
+    is padded with zeros, which add nothing to a product over the block."""
+    out = np.zeros((*bits.shape[:-1], subset.num_blocks * subset.block_length), dtype)
+    out[..., :subset.length] = _signed(bits, dtype)
+    return out.reshape(*bits.shape[:-1], subset.num_blocks, subset.block_length)
+
+
 def _margin_table(subset: PadSubset, weights: np.ndarray) -> np.ndarray:
     """The (length, num_blocks) table whose column b holds -2 * weights on
     block b's positions and 0 elsewhere."""
@@ -410,14 +442,22 @@ def _vote_blocks(
         else:
             margins[lo:lo + step] = np.add.reduceat(flipped * lost, starts, axis=1)
     margins += np.add.reduceat(weights, starts)
+    return subset._from_digits(_block_digits(margins, subset, rng))
+
+
+def _block_digits(margins: np.ndarray, subset: PadSubset, rng: np.random.Generator) -> np.ndarray:
+    """The digits of the pads that win per-block votes, from (..., num_blocks)
+    margins of a described subset: each block takes the base block where its
+    margin is positive and the complement where it is negative.  Rows that
+    tie somewhere draw, in row order, one rank each over their tied blocks
+    (`_draw_rank_runs`), whose digits fill those blocks in block order."""
     digits = subset.base_pad[::subset.block_length] ^ (margins < 0)
     tied = margins == 0
     if tied.any():
-        counts = tied.sum(axis=1)
-        # each tied row's rank, in row order; its digits fill the row's tied
-        # blocks in block order, which is the mask's row-major order
+        counts = tied.sum(axis=-1).ravel()
+        # the mask's row-major order is row order, then block order
         digits[tied] = _draw_rank_runs(rng, counts[counts > 0])
-    return subset._from_digits(digits)
+    return digits
 
 
 def recover_pads(

@@ -5,10 +5,13 @@ profiles), the pad subset construction, the fusion rule and the horizon.
 The round engine runs each chunk of rounds in the protocol's phase order:
 channel evolution, sensing, publication, attacks, full-mesh exchange,
 recovery and decryption, fusion.  It draws every stream for the whole chunk
-at once: each attacker makes one call per kind of attack, and the honest
-users one recovery call and one fusion call, per chunk.  A chunk holds at
-most ROUND_CHUNK (round, row, channel) cells, so memory does not grow with
-the horizon.
+at once: each attacker makes one call per kind of attack per chunk.  On a
+described subset (`generate_subset`) the honest mesh recovers and fuses in
+block space, from two batched products per chunk over (receiver, sender,
+block) margins and flips, without a (pair, channel) array; on explicit
+pads and in plaintext it makes one recovery call and one fusion call per
+chunk over a row per pair.  A chunk holds at most ROUND_CHUNK cells (see
+`_round_cells`), so memory does not grow with the horizon.
 `run_simulation` runs the horizon chunk by chunk and aggregates metrics;
 `run_experiment` sweeps one or two scenario parameters, each sweep point on
 an independent random stream derived from (seed, point index), optionally on
@@ -141,22 +144,28 @@ def detector_profiles(sc: Scenario) -> list[spectrum.DetectorProfile]:
     return [built[u] for u in sc.users]
 
 
+def _target_eta(sc: Scenario) -> float | None:
+    """The agreement a p_target subset is sized for: the first two honest
+    users' lowest per-channel agreement (None without p_target)."""
+    if sc.p_target is None:
+        return None
+    profiles = detector_profiles(sc)
+    honest = [p for p, u in zip(profiles, sc.users) if u.role == "honest"]
+    pair = honest[:2] if len(honest) > 1 else [honest[0], honest[0]]
+    occupancy = spectrum.stationary_occupancy(channel_model(sc))
+    return float(protocol.agreement_probability(pair[0], pair[1], occupancy).min())
+
+
 def build_subset(sc: Scenario, rng: np.random.Generator) -> protocol.PadSubset:
     """Build the scenario's pad subset (see Scenario precedence); p_target
     is met at the first two honest users' lowest per-channel agreement."""
-    eta = None
-    if sc.p_target is not None:
-        profiles = detector_profiles(sc)
-        honest = [p for p, u in zip(profiles, sc.users) if u.role == "honest"]
-        pair = honest[:2] if len(honest) > 1 else [honest[0], honest[0]]
-        occupancy = spectrum.stationary_occupancy(channel_model(sc))
-        eta = float(protocol.agreement_probability(pair[0], pair[1], occupancy).min())
     return protocol.make_subset(sc.num_channels, rng, pairs=sc.pairs, phi=sc.phi,
-                                p_target=sc.p_target, eta=eta, omega=sc.omega)
+                                p_target=sc.p_target, eta=_target_eta(sc), omega=sc.omega)
 
 
-# (round, row, channel) cells of one chunk of rounds: each round holds its
-# user rows and its (receiver, sender) recovery rows, num_channels wide
+# cells of one chunk of rounds: each round holds its (user, channel) rows
+# and, per (receiver, sender) pair, either one block margin per block of a
+# described subset or a recovery row num_channels wide
 ROUND_CHUNK = 2 ** 19
 
 
@@ -164,7 +173,14 @@ def _round_cells(sc: Scenario) -> int:
     """Cells one round holds in a chunk (see ROUND_CHUNK)."""
     n = len(sc.users)
     h = sum(u.role == "honest" for u in sc.users)
-    return (n + h * (n - 1)) * sc.num_channels
+    m = sc.num_channels
+    width = None
+    if sc.encrypted:
+        width = protocol.block_width(m, phi=sc.phi, p_target=sc.p_target, eta=_target_eta(sc),
+                                     omega=sc.omega)
+    if width is None:
+        return (n + h * (n - 1)) * m
+    return n * m + h * n * -(-m // width)
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,8 +200,10 @@ class _Rounds:
     reports: np.ndarray                  # (T, N, M) by user
     ciphertexts: np.ndarray              # (T, N, M)
     pads: np.ndarray | None              # (T, N, M); None in plaintext
-    recovery_success: np.ndarray | None  # (T, N, N) float, NaN where not attempted
-    decisions: np.ndarray                # (T, honest users, M) fused, in user order
+    recovery_success: np.ndarray | None  # (T, N, N) float, 1/0 per (receiver, sender)
+                                         # pair with a known pad, NaN elsewhere
+    decisions: np.ndarray                # (T, honest users, M) uint8 fused, in user order;
+                                         # the same bytes on either mesh route
     attacks: dict[int, _Attack]          # by attacker, in user order
 
 
@@ -211,13 +229,18 @@ class _Streams:
     attack: dict[tuple[int, str], np.random.Generator]  # by (user, kind)
 
 
+def _subset_stream(seed: int) -> np.random.Generator:
+    """The subset stream of `_spawn_streams(seed, ...)`, made on its own."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(4,)))
+
+
 def _spawn_streams(seed: int, users: tuple[UserSpec, ...]) -> _Streams:
     keys = np.random.SeedSequence(seed).spawn(5 + len(users))
     return _Streams(
         channel=np.random.default_rng(keys[0]),
         pads=np.random.default_rng(keys[1]),
         ties=np.random.default_rng(keys[3]),
-        subset=np.random.default_rng(keys[4]),
+        subset=_subset_stream(seed),
         sensing=[np.random.default_rng(k) for k in keys[5:]],
         # made directly, without spawning a key per user
         attack={(i, kind): np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2, i, j)))
@@ -257,11 +280,14 @@ def _run_rounds(
     channel chain, each user's sensing, and the pads of every publisher
     (own reports, then pes users).  Each attacker acts once per chunk on
     the stacked rounds, drawing from its own streams (see `_Streams`); a
-    history user acts on the chunk's replay rounds only.  Then one
-    `protocol.recover_pads` call covers every pair of every slot,
-    round-major, and one `fusion.fuse` call every honest user of every
-    slot.  Attacks are scored against the target's pads here, so no
-    ground truth is passed to the attacker ops.
+    history user acts on the chunk's replay rounds only.  Then the honest
+    mesh is recovered and fused for every pair of every slot at once: in
+    block space on a described subset (`_mesh_by_blocks`), and on explicit
+    pads or in plaintext by one `protocol.recover_pads` and one
+    `fusion.fuse` call (`_mesh_by_rows`).  Both routes draw tie-breaks from
+    streams.ties in the same order and give the same bytes.  Attacks are
+    scored against the target's pads here, so no ground truth is passed to
+    the attacker ops.
     """
     n = len(sc.users)
     m = sc.num_channels
@@ -355,34 +381,15 @@ def _run_rounds(
             attack(i, replay, adversary.history_act(stale[replay, i], cipher[replay], subset,
                                                     streams.attack[i, "ties"]))
 
-    # phase 3: full-mesh exchange, every honest user receiving from every
-    # other user; pairs run round-major, then receiver, then sender, which
-    # is the order tie-breaks are drawn from streams.ties
-    pair_h, senders = np.nonzero(honest[:, None] != np.arange(n))
-    receivers = honest[pair_h]
-    received = np.take(ciphertexts, senders, axis=1)
-
-    # phase 4: recovery + decryption of every pair of every slot in one call
-    recovery = None
-    if sc.encrypted:
-        own_reports = np.take(reports, receivers, axis=1).reshape(-1, m)
-        got = protocol.recover_pads(own_reports, received.reshape(-1, m), subset,
-                                    streams.ties).reshape(received.shape)
-        received ^= got
-        recovery = np.full((rounds, n, n), np.nan)
-        # recovered and sent pads are both members of the subset, so their
-        # member keys decide equality
-        sent = np.take(subset.member_keys(pads), senders, axis=1)
-        recovery[:, receivers, senders] = np.where(
-            pad_known[:, senders], (subset.member_keys(got) == sent).all(axis=2), np.nan)
-
-    # phase 5: one rule and one fusion call for every honest user of every slot
-    plain = received.reshape(rounds, honest.size, n - 1, m)
-    if sc.include_self:
-        plain = np.concatenate([np.take(reports, honest, axis=1)[:, :, None], plain], axis=2)
-    reports_each = plain.shape[2]
+    # phases 3-5: full-mesh exchange, every honest user receiving from every
+    # other user, recovery and decryption of every pair, and one rule for
+    # every honest user of every slot
+    reports_each = n - 1 + int(sc.include_self)
     rule = (fusion.FusionRule.majority(reports_each) if sc.fusion_threshold is None
             else fusion.FusionRule(sc.fusion_threshold, reports_each))
+    mesh = _mesh_by_blocks if sc.encrypted and subset.base_pad is not None else _mesh_by_rows
+    recovery, decisions = mesh(sc, subset, rule, honest, reports, ciphertexts, pads, pad_known,
+                               streams.ties)
 
     state.truth = truth[-1].copy()
     state.sensed = sensed[-1].copy()
@@ -394,9 +401,88 @@ def _run_rounds(
         ciphertexts=ciphertexts,
         pads=pads,
         recovery_success=recovery,
-        decisions=fusion.fuse(plain, rule),
+        decisions=decisions,
         attacks=attacks,
     )
+
+
+def _mesh_by_rows(sc, subset, rule, honest, reports, ciphertexts, pads, pad_known, ties):
+    """Phases 3-5 on a row per (receiver, sender) pair: one
+    `protocol.recover_pads` call over every pair of every slot, round-major,
+    then receiver, then sender (the order ties are drawn from `ties`), and
+    one `fusion.fuse` call over every honest user of every slot.
+
+    Returns:
+        recovery: (T, N, N) float, 1/0 per pair whose sender's pad is
+            known, NaN elsewhere; None in plaintext.
+        decisions: (T, honest users, M) uint8 fused decisions.
+    """
+    rounds, n, m = reports.shape
+    pair_h, senders = np.nonzero(honest[:, None] != np.arange(n))
+    receivers = honest[pair_h]
+    received = np.take(ciphertexts, senders, axis=1)
+    recovery = None
+    if sc.encrypted:
+        own_reports = np.take(reports, receivers, axis=1).reshape(-1, m)
+        got = protocol.recover_pads(own_reports, received.reshape(-1, m), subset,
+                                    ties).reshape(received.shape)
+        received ^= got
+        recovery = np.full((rounds, n, n), np.nan)
+        # recovered and sent pads are both members of the subset, so their
+        # member keys decide equality
+        sent = np.take(subset.member_keys(pads), senders, axis=1)
+        recovery[:, receivers, senders] = np.where(
+            pad_known[:, senders], (subset.member_keys(got) == sent).all(axis=2), np.nan)
+    plain = received.reshape(rounds, honest.size, n - 1, m)
+    if sc.include_self:
+        plain = np.concatenate([np.take(reports, honest, axis=1)[:, :, None], plain], axis=2)
+    return recovery, fusion.fuse(plain, rule)
+
+
+def _mesh_by_blocks(sc, subset, rule, honest, reports, ciphertexts, pads, pad_known, ties):
+    """`_mesh_by_rows` on a described subset, in block space: two batched
+    products per chunk, and no array with both a pair axis and a channel
+    axis.
+
+    With X a receiver's report and Y = ciphertext ^ base_pad a sender's,
+    1 - 2(x ^ y) = (2x - 1)(2y - 1), so the block margins of every pair's
+    target X ^ C are one product of zero-padded sign blocks, (T, B, H, w) @
+    (T, B, w, N).  `protocol._block_digits`, the vote's own digit and tie
+    rule, turns them into digits in (round, receiver, sender) order.  Pair
+    (h, s) decrypts channel m to Y_s[m] ^ f, where f is the flip digit of
+    m's block (1 where the recovered block is the base block's complement),
+    and Y ^ f = 1/2 + (1/2 - f)(2Y - 1): so receiver h's busy count is its
+    own report when it fuses it, plus (N - 1)/2, plus the product of its
+    (1/2 - f) weights over the other senders with their sign blocks.  Every
+    value is a multiple of 1/2 of magnitude at most max(M, N), exact in the
+    subset's unit-weight dtype.
+    """
+    rounds, n, m = reports.shape
+    dtype = subset._unit_weights.dtype
+    receivers = np.arange(honest.size)
+    # (T, B, rows, w) sign blocks of X and Y
+    x = protocol._signed_blocks(reports[:, honest], subset, dtype).transpose(0, 2, 1, 3)
+    y = protocol._signed_blocks(ciphertexts ^ subset.base_pad, subset, dtype).transpose(0, 2, 1, 3)
+    margins = x @ y.swapaxes(-1, -2)  # (T, B, H, N)
+    # a receiver does not vote on its own ciphertext: a positive margin keeps
+    # the base block, so its own pair neither ties nor flips
+    margins[:, :, receivers, honest] = 1
+    digits = protocol._block_digits(margins.transpose(0, 2, 3, 1), subset, ties)  # (T, H, N, B)
+    hits = (digits == subset.member_keys(pads)[:, None]).all(axis=-1)
+    recovery = np.full((rounds, n, n), np.nan)
+    recovery[:, honest] = np.where((honest[:, None] != np.arange(n)) & pad_known[:, None], hits,
+                                   np.nan)
+
+    # pair (h, s) decrypts channel m to Y_s ^ f = 1/2 + (1/2 - f)(2Y_s - 1)
+    flips = (digits ^ subset.base_pad[::subset.block_length]).transpose(0, 3, 1, 2)
+    weights = np.subtract(0.5, flips, dtype=dtype)  # (T, B, H, N)
+    weights[:, :, receivers, honest] = 0
+    counts = weights @ y  # (T, B, H, w)
+    counts = counts.transpose(0, 2, 1, 3).reshape(rounds, honest.size, -1)[..., :m]
+    counts += (n - 1) / 2
+    if sc.include_self:
+        counts += reports[:, honest]
+    return recovery, (counts >= rule.threshold).astype(np.uint8)
 
 
 def _designated_recipient(sc: Scenario) -> int:
@@ -582,11 +668,11 @@ def run_experiment(
     ]
 
     for point, _ in tasks:
-        # what run_simulation builds before round 1, on a throwaway copy of its streams
+        # what run_simulation builds before round 1, on a throwaway copy of its subset stream
         channel_model(point)
         detector_profiles(point)
         if point.encrypted:
-            build_subset(point, _spawn_streams(point.seed, point.users).subset)
+            build_subset(point, _subset_stream(point.seed))
 
     workers = min(workers, len(tasks))
     if workers > 1:

@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from otpsense.bits import as_bits, complement
+from otpsense.bits import as_bits, complement, random_bits
+from otpsense.protocol import PadSubset
 
 
 def pad_posterior(own_report, ciphertext, eta, candidate) -> float:
@@ -34,3 +35,24 @@ def is_secure_pair_closed(subset) -> bool:
         return True
     rows = {row.tobytes() for row in subset.pads}
     return all(complement(row).tobytes() in rows for row in subset.pads)
+
+
+def generate_pairs_by_row(length: int, pairs: int, rng) -> PadSubset:
+    """`generate_pairs` one attempt at a time: a `random_bits` call per
+    candidate base row, rejected when it or its complement was taken."""
+    seen: set[bytes] = set()
+    rows = []
+    attempts = 0
+    while len(rows) < 2 * pairs:
+        attempts += 1
+        if attempts > 1000 * pairs + 100:
+            raise ValueError("could not draw distinct pairs; length too small")
+        base = random_bits(length, rng)
+        comp = complement(base)
+        if base.tobytes() in seen or comp.tobytes() in seen:
+            continue
+        seen.add(base.tobytes())
+        seen.add(comp.tobytes())
+        rows.append(base)
+        rows.append(comp)
+    return PadSubset(np.stack(rows))

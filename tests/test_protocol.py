@@ -33,7 +33,8 @@ from otpsense.protocol import (
 )
 from otpsense.spectrum import DetectorProfile
 
-from oracles import is_secure_pair_closed, pad_posterior
+import oracles
+from oracles import generate_pairs_by_row, is_secure_pair_closed, pad_posterior
 
 
 def scalar_recover_pad(own_report, ciphertext, subset, rng, weights=None):
@@ -210,6 +211,54 @@ def test_generate_pairs_properties():
         generate_pairs(1, 2, np.random.default_rng(0))  # only one pair fits in 1 bit
     with pytest.raises(ValueError):
         generate_pairs(10, 0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("length, pairs", [(1, 1), (2, 2), (3, 4), (4, 7), (7, 3), (13, 64),
+                                           (100, 64), (139, 5)])
+def test_generate_pairs_draws_the_rows_and_state_of_a_draw_per_attempt(length, pairs):
+    # lengths that are not a multiple of 4 leave unused bytes in each row's
+    # draw; the tiny lengths fill the pad space, so attempts are rejected
+    for seed in range(4):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = generate_pairs(length, pairs, got_rng)
+        want = generate_pairs_by_row(length, pairs, want_rng)
+        assert np.array_equal(got.pads, want.pads)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_generate_pairs_rejects_taken_rows_in_attempt_order(monkeypatch):
+    # 2 pairs in 2 bits take all four pads: whichever pair comes first, an
+    # attempt that draws it again is rejected, and the next is drawn
+    attempts = []
+    monkeypatch.setattr(oracles, "random_bits",
+                        lambda length, rng: attempts.append(length) or random_bits(length, rng))
+    for seed in range(20):
+        want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = generate_pairs_by_row(2, 2, want_rng)
+        assert np.array_equal(generate_pairs(2, 2, got_rng).pads, want.pads)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    assert len(attempts) > 2 * 20
+
+
+class ZeroBits:
+    """A generator stand-in whose bits are all 0; counts the rows it drew."""
+
+    def __init__(self):
+        self.rows = 0
+
+    def integers(self, low, high, size, dtype):
+        size = np.atleast_1d(size)
+        self.rows += int(np.prod(size[:-1]))
+        return np.zeros(size, dtype=dtype)
+
+
+def test_generate_pairs_gives_up_after_the_same_attempts():
+    # after the all-zero pair every attempt is rejected, until the cap
+    got, want = ZeroBits(), ZeroBits()
+    for make, rng in ((generate_pairs, got), (generate_pairs_by_row, want)):
+        with pytest.raises(ValueError, match="could not draw distinct pairs"):
+            make(2, 2, rng)
+    assert got.rows == want.rows == 1000 * 2 + 100
 
 
 # ---- encryption --------------------------------------------------------

@@ -1,6 +1,7 @@
 """Scenario plumbing and round engine behaviour."""
 
 import concurrent.futures
+import copy
 import dataclasses
 import os
 import subprocess
@@ -809,3 +810,87 @@ def test_chunks_are_bounded_by_cells_not_by_rounds(monkeypatch, engine_chunks):
     monkeypatch.setattr(simulate, "ROUND_CHUNK", 1)
     run_simulation(small_scenario(rounds=3))
     assert engine_chunks == [1, 1, 1]
+
+
+def test_round_cells_count_block_margins_on_described_subsets():
+    users = (HONEST,) * 4 + (UserSpec(role="ees"),)
+    sc = Scenario(num_channels=23, users=users, pairs=None, phi=5, omega=1.5)
+    # 8-wide blocks: 3 of them; 5 user rows, and 4 receivers by 5 senders
+    assert simulate._round_cells(sc) == 5 * 23 + 4 * 5 * 3
+    for rows in (dataclasses.replace(sc, pairs=2, phi=None), dataclasses.replace(sc, encrypted=False)):
+        assert simulate._round_cells(rows) == (5 + 4 * 4) * 23
+
+
+def test_subset_stream_is_the_spawned_subset_stream():
+    # key 4 of the seed's spawned keys, whatever the population
+    for seed in (0, 7, 2 ** 40):
+        for users in ((HONEST,), (HONEST,) * 3 + (UserSpec(role="ees"),) * 3):
+            spawned = np.random.SeedSequence(seed).spawn(5 + len(users))[4]
+            want = np.random.default_rng(spawned).bit_generator.state
+            assert simulate._subset_stream(seed).bit_generator.state == want
+            assert _spawn_streams(seed, users).subset.bit_generator.state == want
+
+
+# ---- the honest mesh in block space ---------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(1, 40),
+    phi=st.integers(1, 12),
+    omega=st.sampled_from([1.0, 1.5, 2.2]),
+    honest_users=st.integers(1, 5),
+    others=st.lists(st.sampled_from(["ees", "pes", "history"]), max_size=3),
+    include_self=st.booleans(),
+    threshold=st.integers(0, 8),
+    rounds=st.integers(1, 6),
+    rounds_per_chunk=st.integers(1, 3),
+    copy_previous=st.booleans(),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_block_mesh_matches_recover_pads_and_fuse_on_flattened_pairs(
+        m, phi, omega, honest_users, others, include_self, threshold, rounds, rounds_per_chunk,
+        copy_previous, seed):
+    # even widths tie, and widths that do not divide M leave a shorter last
+    # block; ees users copy verbatim, so their pads are known and scored,
+    # unless they copy the previous round's ciphertexts
+    users = (HONEST,) * honest_users + tuple(UserSpec(role=r, sensed_channels=m // 2)
+                                             for r in others)
+    fused = len(users) - 1 + include_self
+    if fused < 1:
+        return
+    sc = Scenario(num_channels=m, users=users, pairs=None, phi=min(phi, m), omega=omega,
+                  include_self=include_self, rounds=rounds, seed=seed,
+                  fusion_threshold=threshold % fused + 1 if threshold else None,
+                  ees_copy_previous_round=copy_previous)
+    blocks, compared = simulate._mesh_by_blocks, []
+
+    def both(*args):
+        *inputs, ties = args
+        rows_ties = copy.deepcopy(ties)
+        want = simulate._mesh_by_rows(*inputs, rows_ties)
+        got = blocks(*args)
+        assert same(got, want)
+        assert ties.bit_generator.state == rows_ties.bit_generator.state
+        compared.append(got[1].shape[0])
+        return got
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulate, "ROUND_CHUNK", rounds_per_chunk * simulate._round_cells(sc))
+        patch.setattr(simulate, "_mesh_by_blocks", both)
+        run_simulation(sc)
+    assert sum(compared) == sc.rounds
+
+
+def test_a_described_honest_mesh_never_calls_recover_pads_or_fuse(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the block route called a row kernel")
+
+    monkeypatch.setattr(protocol, "recover_pads", refuse)
+    monkeypatch.setattr(fusion, "fuse", refuse)
+    for phi in (5, 6):
+        summary = run_simulation(Scenario(num_channels=23, users=(HONEST,) * 6, pairs=None,
+                                          phi=phi, rounds=12, seed=phi))
+        assert summary.honest_recovery_rate > 0.5
+    with pytest.raises(AssertionError, match="row kernel"):
+        run_simulation(Scenario(num_channels=23, users=(HONEST,) * 3, rounds=2))
