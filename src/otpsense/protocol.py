@@ -45,11 +45,6 @@ from .spectrum import DetectorProfile
 # entries per float temporary (signed targets, scores) in `recover_pads`
 SCORE_CHUNK = 2 ** 15
 
-# largest (length, num_blocks) margin table a described subset votes with by
-# one matrix product; past it the table is mostly zeros and summing each
-# block with np.add.reduceat is faster
-MARGIN_PRODUCT_CELLS = 2 ** 16
-
 # binary digits of the widest uniform rank one `rng.integers` call draws;
 # wider ranks are drawn in chunks (see `_draw_digits`)
 RANK_BITS = 62
@@ -224,11 +219,6 @@ class PadSubset:
         return np.arange(self.length) // self.block_length
 
     @functools.cached_property
-    def _unit_margins(self) -> np.ndarray:
-        """`_margin_table` of the unit weights."""
-        return _margin_table(self, self._unit_weights)
-
-    @functools.cached_property
     def _unit_vote(self) -> tuple[np.ndarray, np.ndarray]:
         """Unit vote weights and the (length, size) table of 2*pad - 1."""
         return self._unit_weights, _signed(self.pads.T, self._unit_weights.dtype)
@@ -275,7 +265,8 @@ def widen_block(length: int, block_length: int, omega: float) -> int:
     """Block length scaled by `omega` >= 1, rounded up and capped at `length`."""
     if not 1 <= omega < math.inf:
         raise ValueError(f"omega must lie in [1, inf), got {omega}")
-    return min(length, math.ceil(omega * block_length))
+    # capping omega first keeps a huge finite omega's product finite
+    return min(length, math.ceil(min(omega, length) * block_length))
 
 
 def generate_pairs(length: int, pairs: int, rng: np.random.Generator) -> PadSubset:
@@ -312,25 +303,6 @@ def generate_pairs(length: int, pairs: int, rng: np.random.Generator) -> PadSubs
     return PadSubset(np.stack(rows))
 
 
-def block_width(
-    length: int,
-    *,
-    phi: int | None = None,
-    p_target: float | None = None,
-    eta: float | None = None,
-    omega: float = 1.0,
-) -> int | None:
-    """The block width `make_subset` builds a described subset with, or
-    None when it builds pairs (neither p_target nor phi is set)."""
-    if p_target is not None:
-        width = invert_success_rate(p_target, eta)
-    elif phi is not None:
-        width = phi
-    else:
-        return None
-    return widen_block(length, width, omega)
-
-
 def make_subset(
     length: int,
     rng: np.random.Generator,
@@ -345,10 +317,13 @@ def make_subset(
     p_target (blocks of the smallest odd width whose predicted rate at
     agreement `eta` reaches it), phi (blocks of that width), or pairs
     (`generate_pairs`).  Block widths are scaled by omega (`widen_block`)."""
-    width = block_width(length, phi=phi, p_target=p_target, eta=eta, omega=omega)
-    if width is None:
+    if p_target is not None:
+        width = invert_success_rate(p_target, eta)
+    elif phi is not None:
+        width = phi
+    else:
         return generate_pairs(length, pairs, rng)
-    return generate_subset(length, width, rng)
+    return generate_subset(length, widen_block(length, width, omega), rng)
 
 
 def encrypt_report(
@@ -396,21 +371,18 @@ def _signed(bits: np.ndarray, dtype) -> np.ndarray:
     return out
 
 
+def _blocks(values: np.ndarray, subset: PadSubset) -> np.ndarray:
+    """(..., length) values cut into the blocks of a described subset:
+    (..., num_blocks, block_length).  A shorter last block is padded with
+    zeros, which add nothing to a product or sum over the block."""
+    out = np.zeros((*values.shape[:-1], subset.num_blocks * subset.block_length), values.dtype)
+    out[..., :subset.length] = values
+    return out.reshape(*values.shape[:-1], subset.num_blocks, subset.block_length)
+
+
 def _signed_blocks(bits: np.ndarray, subset: PadSubset, dtype) -> np.ndarray:
-    """(..., length) bits as signs 2*bit - 1, cut into the blocks of a
-    described subset: (..., num_blocks, block_length).  A shorter last block
-    is padded with zeros, which add nothing to a product over the block."""
-    out = np.zeros((*bits.shape[:-1], subset.num_blocks * subset.block_length), dtype)
-    out[..., :subset.length] = _signed(bits, dtype)
-    return out.reshape(*bits.shape[:-1], subset.num_blocks, subset.block_length)
-
-
-def _margin_table(subset: PadSubset, weights: np.ndarray) -> np.ndarray:
-    """The (length, num_blocks) table whose column b holds -2 * weights on
-    block b's positions and 0 elsewhere."""
-    table = np.zeros((subset.length, subset.num_blocks), dtype=weights.dtype)
-    table[np.arange(subset.length), subset._block_of] = -2 * weights
-    return table
+    """(..., length) bits as signs 2*bit - 1, cut into `_blocks`."""
+    return _blocks(_signed(bits, dtype), subset)
 
 
 def _vote_blocks(
@@ -419,29 +391,13 @@ def _vote_blocks(
     weights: np.ndarray,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """`recover_pads` on a described subset: a sign test per block."""
-    base = subset.base_pad.view(bool)
-    starts = np.arange(0, subset.length, subset.block_length)
-    # a block's margin is the weight agreeing with the base block minus the
-    # weight agreeing with its complement: the block's whole weight, less
-    # twice the weight of the target bits that differ from the base pad.
-    # Up to MARGIN_PRODUCT_CELLS one product with `_margin_table` sums
-    # every block of a row slice; past it np.add.reduceat does.  Both sum
-    # unit and 0/1 weights exactly, so they give the same margins
-    table = lost = None
-    if subset.length * subset.num_blocks <= MARGIN_PRODUCT_CELLS:
-        table = subset._unit_margins if weights is subset._unit_weights else _margin_table(subset, weights)
-    else:
-        lost = -2 * weights
-    margins = np.empty((targets.shape[0], subset.num_blocks), dtype=weights.dtype)
-    step = max(1, SCORE_CHUNK // subset.length)
-    for lo in range(0, targets.shape[0], step):
-        flipped = targets[lo:lo + step] ^ base
-        if table is not None:
-            margins[lo:lo + step] = flipped.astype(weights.dtype) @ table
-        else:
-            margins[lo:lo + step] = np.add.reduceat(flipped * lost, starts, axis=1)
-    margins += np.add.reduceat(weights, starts)
+    """`recover_pads` on a described subset: a sign test per block.  A
+    block's margin is the weight of its target bits that agree with the
+    base pad less the weight of those that differ: the sum of w * (2a - 1)
+    over the block, with a = (target == base).  Unit and 0/1 weights sum
+    exactly in any order."""
+    agree = _signed_blocks(targets == subset.base_pad.view(bool), subset, weights.dtype)
+    margins = np.einsum("kbw,bw->kb", agree, _blocks(weights, subset))
     return subset._from_digits(_block_digits(margins, subset, rng))
 
 
@@ -484,17 +440,16 @@ def recover_pads(
 
     * A described subset is a product over blocks, so the best pad takes,
       per block, the base block or its complement, whichever the block's
-      weight agrees with more, in float32 for unit weights.  Every block
-      margin of a row slice comes from one product with an (M, B) table of
-      the weights, while M*B is at most MARGIN_PRODUCT_CELLS, and from
-      `np.add.reduceat` past it, which is O(K*M) however many blocks there
-      are.  An even split ties the block; when no row ties, the tie pass is
-      skipped.  A row's t tied pads differ only on its tied blocks, so the
-      tie draw is one rank `rng.integers(2**t)` whose digits, most
-      significant first, give each tied block the alternative starting with
-      that digit.  One `rng.integers` call draws every tied row's rank,
-      from the same random numbers as a draw per row (see
-      `_draw_rank_runs`).
+      weight agrees with more, in float32 for unit weights.  The targets'
+      signs against the base pad, cut into zero-padded blocks, are summed
+      with the weights block by block in one product over (K, B, w):
+      O(K*M) for every geometry.  An even split ties the block; when no
+      row ties, the tie pass is skipped.  A row's t tied pads differ only
+      on its tied blocks, so the tie draw is one rank `rng.integers(2**t)`
+      whose digits, most significant first, give each tied block the
+      alternative starting with that digit.  One `rng.integers` call draws
+      every tied row's rank, from the same random numbers as a draw per
+      row (see `_draw_rank_runs`).
     * Explicit pads: writing the target bits t and pad bits p as signs 2t-1
       and 2p-1, the weighted agreement is
       (sum(w) + sum(w * (2t-1) * (2p-1))) / 2, so every row's scores come

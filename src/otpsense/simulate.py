@@ -169,18 +169,15 @@ def build_subset(sc: Scenario, rng: np.random.Generator) -> protocol.PadSubset:
 ROUND_CHUNK = 2 ** 19
 
 
-def _round_cells(sc: Scenario) -> int:
-    """Cells one round holds in a chunk (see ROUND_CHUNK)."""
+def _round_cells(sc: Scenario, subset: protocol.PadSubset | None) -> int:
+    """Cells one round holds in a chunk (see ROUND_CHUNK) on the scenario's
+    built subset, None in plaintext."""
     n = len(sc.users)
     h = sum(u.role == "honest" for u in sc.users)
     m = sc.num_channels
-    width = None
-    if sc.encrypted:
-        width = protocol.block_width(m, phi=sc.phi, p_target=sc.p_target, eta=_target_eta(sc),
-                                     omega=sc.omega)
-    if width is None:
-        return (n + h * (n - 1)) * m
-    return n * m + h * n * -(-m // width)
+    if subset is not None and subset.base_pad is not None:
+        return n * m + h * n * subset.num_blocks
+    return (n + h * (n - 1)) * m
 
 
 @dataclass(frozen=True, eq=False)
@@ -534,7 +531,7 @@ def run_simulation(sc: Scenario) -> SimulationSummary:
     subset = build_subset(sc, streams.subset) if sc.encrypted else None
     state = _State()
     target = _designated_recipient(sc)
-    step = max(1, ROUND_CHUNK // _round_cells(sc))
+    step = max(1, ROUND_CHUNK // _round_cells(sc, subset))
 
     metrics = None
     rec_ok = rec_all = 0
@@ -591,27 +588,32 @@ def apply_sweep(sc: Scenario, assignment: dict) -> Scenario:
     "selfish" converts the last k users to scenario.selfish_role (the base
     population must be honest); the other names map onto scenario fields
     ("channels" -> num_channels, "pairs", "phi", "rounds", "slot_period").
+    Every parameter but "slot_period" takes integers only.
     """
     out = sc
     for name, value in assignment.items():
+        if name in ("channels", "pairs", "phi", "rounds", "selfish"):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"sweep parameter {name!r} takes integers, got {value!r}")
+            value = int(value)
         if name == "channels":
-            out = replace(out, num_channels=int(value))
+            out = replace(out, num_channels=value)
         elif name == "pairs":
-            out = replace(out, pairs=int(value), phi=None, p_target=None)
+            out = replace(out, pairs=value, phi=None, p_target=None)
         elif name == "phi":
-            out = replace(out, phi=int(value), pairs=None, p_target=None)
+            out = replace(out, phi=value, pairs=None, p_target=None)
         elif name == "rounds":
-            out = replace(out, rounds=int(value))
+            out = replace(out, rounds=value)
         elif name == "slot_period":
             out = replace(out, slot_period=float(value))
         elif name == "selfish":
-            k = int(value)
-            if k >= len(out.users):
-                raise ValueError("selfish count must leave at least one honest user")
+            if not 0 <= value < len(out.users):
+                raise ValueError(f"selfish count must lie in [0, {len(out.users) - 1}], leaving "
+                                 f"an honest user, got {value}")
             if any(u.role != "honest" for u in out.users):
                 raise ValueError('sweeping "selfish" needs an all-honest base population')
             users = list(out.users)
-            for i in range(len(users) - k, len(users)):
+            for i in range(len(users) - value, len(users)):
                 users[i] = replace(
                     users[i],
                     role=out.selfish_role,

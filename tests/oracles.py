@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from otpsense import protocol
 from otpsense.bits import as_bits, complement, random_bits
 from otpsense.protocol import PadSubset
 
@@ -56,3 +57,15 @@ def generate_pairs_by_row(length: int, pairs: int, rng) -> PadSubset:
         rows.append(base)
         rows.append(comp)
     return PadSubset(np.stack(rows))
+
+
+def vote_blocks_by_reduceat(targets, subset, weights, rng) -> np.ndarray:
+    """`protocol._vote_blocks` with each block margin summed on its own by
+    `np.add.reduceat`: the block's whole weight, less twice the weight of
+    the target bits that differ from the base pad.  Digits and tie draws
+    come from the vote's own `_block_digits`."""
+    starts = np.arange(0, subset.length, subset.block_length)
+    flipped = targets ^ subset.base_pad.view(bool)
+    margins = np.add.reduceat(flipped * (-2 * weights), starts, axis=1)
+    margins += np.add.reduceat(weights, starts)
+    return subset._from_digits(protocol._block_digits(margins, subset, rng))

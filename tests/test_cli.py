@@ -277,6 +277,40 @@ def test_simulate_rejects_bad_config_values(tmp_path, capsys, engine_chunks, cfg
     assert engine_chunks == []
 
 
+@pytest.mark.parametrize("param,values", [
+    ("phi", [2.5, 3]),
+    ("channels", [float("inf")]),
+    ("pairs", [1, 2.0]),
+    ("rounds", [3, float("nan")]),
+    ("selfish", [0.5]),
+])
+def test_experiment_rejects_non_integer_sweep_values(tmp_path, capsys, engine_chunks, param,
+                                                     values):
+    # json.dumps writes inf and nan as Infinity and NaN, which json.load reads back
+    cfg = {"num_channels": 8, "rounds": 3, "users": _honest(3),
+           "sweep": [{"param": param, "values": values}]}
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, "experiment", "--config", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and param in err and "Traceback" not in err
+    assert engine_chunks == []
+
+
+def test_huge_finite_omega_widens_blocks_to_the_whole_band(tmp_path, capsys, engine_chunks):
+    code, out, err = run_cli(capsys, "subset-gen", "--channels", "5", "--phi", "3",
+                             "--omega", "1e308")
+    assert code == 0 and err == ""
+    meta = {l.split(": ")[0][2:]: l.split(": ")[1] for l in out.splitlines() if l.startswith("#")}
+    assert meta["block_length"] == "5" and meta["size"] == "2"
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"num_channels": 8, "rounds": 2, "users": _honest(3), "pairs": None,
+                                "phi": 3, "omega": 1e308}))
+    code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+    assert code == 0 and out, err
+    assert engine_chunks == [2]
+
+
 def test_simulate_on_a_valid_config_reaches_the_round_engine(tmp_path, capsys, engine_chunks):
     path = tmp_path / "good.json"
     path.write_text(json.dumps({"num_channels": 8, "rounds": 5, "users": _honest(3)}))

@@ -17,6 +17,8 @@ import pytest
 from otpsense import protocol
 from otpsense.simulate import Scenario, UserSpec, run_simulation
 
+import oracles
+
 HONEST = UserSpec()
 
 SCENARIOS = {
@@ -95,7 +97,7 @@ def test_fixed_seed_summary_is_byte_identical(name):
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_digests_hold_with_reduceat_block_margins(name, monkeypatch):
-    # the per-block np.add.reduceat margins, which described subsets past
-    # MARGIN_PRODUCT_CELLS use, reproduce the product's bytes
-    monkeypatch.setattr(protocol, "MARGIN_PRODUCT_CELLS", 0)
+    # the reference that sums each block margin by np.add.reduceat, voting
+    # in place of the block-margin kernel, reproduces every digest
+    monkeypatch.setattr(protocol, "_vote_blocks", oracles.vote_blocks_by_reduceat)
     assert summary_digest(SCENARIOS[name]) == DIGESTS[name]

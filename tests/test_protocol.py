@@ -577,49 +577,37 @@ def test_one_tie_draw_per_vote_equals_a_draw_per_tied_row():
 
 
 def vote_geometries(rng):
-    """Described subsets for the margin kernels: odd widths dividing M, even
-    widths that tie, widths that do not divide M, and 130 blocks whose
-    (M, B) table is past MARGIN_PRODUCT_CELLS."""
-    for m, phi in ((99, 11), (30, 10), (20, 4), (23, 5), (22, 7), (520, 4)):
+    """Described subsets for the margin kernel: odd widths dividing M, even
+    widths that tie, widths that do not divide M, 130 blocks, and one block."""
+    for m, phi in ((99, 11), (30, 10), (20, 4), (23, 5), (22, 7), (520, 4), (1, 1)):
         yield generate_subset(m, phi, rng)
 
 
-def test_margin_product_and_reduceat_give_the_same_votes(monkeypatch):
-    # unit and 0/1 weights are summed exactly by both kernels, so the
-    # digits, the tied blocks and hence the tie draws agree; log odds are
-    # summed in another order, and with these draws no margin lands within
-    # rounding of zero
+def test_block_margins_match_a_reduceat_reference(monkeypatch):
+    # unit and 0/1 weights are summed exactly by both, so the digits, the
+    # tied blocks and hence the tie draws agree; log odds are summed in
+    # another order, and with these draws no margin lands within rounding
+    # of zero
     rng = np.random.default_rng(27)
-    bound = protocol.MARGIN_PRODUCT_CELLS
     drawn = 0
     for i, sub in enumerate(vote_geometries(rng)):
-        assert (sub.length * sub.num_blocks <= bound) == (sub.num_blocks < 130)
-        own = (rng.random((300, sub.length)) < 0.5).astype(np.uint8)
-        cipher = (rng.random((300, sub.length)) < 0.5).astype(np.uint8)
-        for j, weights in enumerate((None, coverage_weights(sub, rng),
-                                     log_odds(rng.uniform(0.55, 0.95, sub.length)))):
-            runs = []
-            for cells in (2 ** 62, 0):  # the product, then np.add.reduceat
-                monkeypatch.setattr(protocol, "MARGIN_PRODUCT_CELLS", cells)
-                vote_rng = np.random.default_rng([i, j])
-                runs.append((recover_pads(own, cipher, sub, vote_rng, weights), vote_rng))
-            (product, product_rng), (reduceat, reduceat_rng) = runs
-            assert np.array_equal(product, reduceat), (i, j)
-            assert product_rng.bit_generator.state == reduceat_rng.bit_generator.state, (i, j)
-            fresh = np.random.default_rng([i, j]).bit_generator.state
-            drawn += j < 2 and product_rng.bit_generator.state != fresh
+        for k in (1, 16, 300):
+            own = (rng.random((k, sub.length)) < 0.5).astype(np.uint8)
+            cipher = (rng.random((k, sub.length)) < 0.5).astype(np.uint8)
+            for j, weights in enumerate((None, coverage_weights(sub, rng),
+                                         log_odds(rng.uniform(0.55, 0.95, sub.length)))):
+                got_rng, want_rng = np.random.default_rng([i, j, k]), np.random.default_rng([i, j, k])
+                got = recover_pads(own, cipher, sub, got_rng, weights)
+                with monkeypatch.context() as patch:
+                    patch.setattr(protocol, "_vote_blocks", oracles.vote_blocks_by_reduceat)
+                    want = recover_pads(own, cipher, sub, want_rng, weights)
+                assert np.array_equal(got, want), (i, j, k)
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state, (i, j, k)
+                fresh = np.random.default_rng([i, j, k]).bit_generator.state
+                drawn += j < 2 and got_rng.bit_generator.state != fresh
         assert "pads" not in vars(sub)
     # ties are really drawn: on even widths and unobserved blocks
     assert drawn >= 6
-
-
-def test_unit_votes_use_the_product_below_the_bound_only():
-    rng = np.random.default_rng(28)
-    for sub in vote_geometries(rng):
-        zeros = np.zeros((1, sub.length), dtype=np.uint8)
-        recover_pads(zeros, zeros, sub, rng)
-        below = sub.length * sub.num_blocks <= protocol.MARGIN_PRODUCT_CELLS
-        assert ("_unit_margins" in vars(sub)) == below, sub.num_blocks
 
 
 def test_member_keys_decide_equality_on_described_subsets():

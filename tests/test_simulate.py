@@ -318,6 +318,10 @@ def test_apply_sweep_fields():
     assert swept.phi == 3 and swept.pairs is None
     swept = apply_sweep(sc, {"pairs": 4})
     assert swept.pairs == 4 and swept.phi is None
+    assert apply_sweep(sc, {"phi": np.int64(3)}).phi == 3
+    for name, value in (("phi", 2.5), ("channels", float("inf")), ("rounds", 5.0), ("selfish", 1.5)):
+        with pytest.raises(ValueError, match=name):
+            apply_sweep(sc, {name: value})
 
 
 def test_apply_sweep_selfish():
@@ -326,6 +330,8 @@ def test_apply_sweep_selfish():
     assert [u.role for u in swept.users] == ["honest", "history", "history"]
     with pytest.raises(ValueError):
         apply_sweep(sc, {"selfish": 3})  # nobody honest left
+    with pytest.raises(ValueError, match="selfish"):
+        apply_sweep(sc, {"selfish": -1})  # would run none but report -1
     with pytest.raises(ValueError):
         apply_sweep(swept, {"selfish": 1})  # base must be all honest
     with pytest.raises(ValueError):
@@ -789,11 +795,17 @@ def test_one_chunk_and_single_rounds_match_reference_rounds(name):
         assert_chunk_is(simulate._run_rounds(*args, 1), want[t:t + 1])
 
 
+def round_cells(sc):
+    """`simulate._round_cells` on the subset `run_simulation` builds for sc."""
+    subset = simulate.build_subset(sc, simulate._subset_stream(sc.seed)) if sc.encrypted else None
+    return simulate._round_cells(sc, subset)
+
+
 @pytest.mark.parametrize("rounds_per_chunk", [1, 3, 7])
 def test_chunk_length_leaves_every_golden_digest_unchanged(monkeypatch, engine_chunks,
                                                            rounds_per_chunk):
     for name, sc in SCENARIOS.items():
-        monkeypatch.setattr(simulate, "ROUND_CHUNK", rounds_per_chunk * simulate._round_cells(sc))
+        monkeypatch.setattr(simulate, "ROUND_CHUNK", rounds_per_chunk * round_cells(sc))
         engine_chunks.clear()
         assert summary_digest(sc) == DIGESTS[name], name
         whole, rest = divmod(sc.rounds, rounds_per_chunk)
@@ -802,7 +814,7 @@ def test_chunk_length_leaves_every_golden_digest_unchanged(monkeypatch, engine_c
 
 def test_chunks_are_bounded_by_cells_not_by_rounds(monkeypatch, engine_chunks):
     sc = Scenario(num_channels=8)
-    per_chunk = simulate.ROUND_CHUNK // simulate._round_cells(sc)
+    per_chunk = simulate.ROUND_CHUNK // round_cells(sc)
     run_simulation(dataclasses.replace(sc, rounds=2 * per_chunk + 1))
     assert engine_chunks == [per_chunk, per_chunk, 1]
     engine_chunks.clear()
@@ -816,9 +828,21 @@ def test_round_cells_count_block_margins_on_described_subsets():
     users = (HONEST,) * 4 + (UserSpec(role="ees"),)
     sc = Scenario(num_channels=23, users=users, pairs=None, phi=5, omega=1.5)
     # 8-wide blocks: 3 of them; 5 user rows, and 4 receivers by 5 senders
-    assert simulate._round_cells(sc) == 5 * 23 + 4 * 5 * 3
+    assert round_cells(sc) == 5 * 23 + 4 * 5 * 3
     for rows in (dataclasses.replace(sc, pairs=2, phi=None), dataclasses.replace(sc, encrypted=False)):
-        assert simulate._round_cells(rows) == (5 + 4 * 4) * 23
+        assert round_cells(rows) == (5 + 4 * 4) * 23
+
+
+def test_a_p_target_run_sizes_its_blocks_once(monkeypatch):
+    sizings, target_eta = [], simulate._target_eta
+
+    def counting(sc):
+        sizings.append(sc)
+        return target_eta(sc)
+
+    monkeypatch.setattr(simulate, "_target_eta", counting)
+    run_simulation(small_scenario(p_target=0.95, rounds=2))
+    assert len(sizings) == 1
 
 
 def test_subset_stream_is_the_spawned_subset_stream():
@@ -876,7 +900,7 @@ def test_block_mesh_matches_recover_pads_and_fuse_on_flattened_pairs(
         return got
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(simulate, "ROUND_CHUNK", rounds_per_chunk * simulate._round_cells(sc))
+        patch.setattr(simulate, "ROUND_CHUNK", rounds_per_chunk * round_cells(sc))
         patch.setattr(simulate, "_mesh_by_blocks", both)
         run_simulation(sc)
     assert sum(compared) == sc.rounds
