@@ -365,23 +365,29 @@ def _vote_weights(subset: PadSubset, weights) -> np.ndarray:
 
 def _signed(bits: np.ndarray, dtype) -> np.ndarray:
     """Map bits {0, 1} to {-1, +1}."""
-    out = bits.astype(dtype)
-    out *= 2
+    out = np.multiply(bits, 2, dtype=dtype)
     out -= 1
     return out
 
 
 def _blocks(values: np.ndarray, subset: PadSubset) -> np.ndarray:
     """(..., length) values cut into the blocks of a described subset:
-    (..., num_blocks, block_length).  A shorter last block is padded with
-    zeros, which add nothing to a product or sum over the block."""
-    out = np.zeros((*values.shape[:-1], subset.num_blocks * subset.block_length), values.dtype)
-    out[..., :subset.length] = values
-    return out.reshape(*values.shape[:-1], subset.num_blocks, subset.block_length)
+    (..., num_blocks, block_length), a view of `values` when the blocks
+    tile the length.  A shorter last block is padded with zeros, which add
+    nothing to a product or sum over the block."""
+    lead, width = values.shape[:-1], subset.num_blocks * subset.block_length
+    if width > subset.length:
+        padded = np.zeros((*lead, width), values.dtype)
+        padded[..., :subset.length] = values
+        values = padded
+    return values.reshape(*lead, subset.num_blocks, subset.block_length)
 
 
 def _signed_blocks(bits: np.ndarray, subset: PadSubset, dtype) -> np.ndarray:
-    """(..., length) bits as signs 2*bit - 1, cut into `_blocks`."""
+    """(..., length) bits as signs 2*bit - 1, cut into `_blocks`.  When the
+    blocks tile the length the signs are the block buffer.  A shorter last
+    block costs one copy into a zeroed buffer: signing straight into that
+    row-strided buffer was slower, as a ufunc over it loops row by row."""
     return _blocks(_signed(bits, dtype), subset)
 
 

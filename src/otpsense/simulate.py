@@ -17,14 +17,18 @@ chunk over a row per pair.  A chunk holds at most ROUND_CHUNK cells (see
 an independent random stream derived from (seed, point index), optionally on
 a process pool.
 
-Randomness is split into named streams (channel evolution, per-user sensing,
-pad draws, vote tie-breaks, and per attacker one stream for each kind of
-draw it makes) spawned from the scenario seed,
-so runs with the protocol enabled and disabled see identical channel truth
-and detector noise, and results never depend on worker scheduling.  Each
-stream is consumed by one kind of call only, and a chunk's draw of T rounds
-takes the same random numbers as T one-round draws, so results do not
-depend on the chunk length either.
+Randomness is split into named streams (channel evolution, sensing, pad
+draws, vote tie-breaks, and per attacker one stream for each kind of draw
+it makes) spawned from the scenario seed.  One sensing stream serves the
+whole population, drawn in (slot, user, channel) order, and every user
+draws a full row whatever its role.  So runs with the protocol enabled and
+disabled, and the points of a `selfish` sweep, see identical channel truth
+and detector noise, and results never depend on worker scheduling.  A
+user's noise does depend on the population size N, so populations of
+different sizes do not share random numbers user by user.  Each stream is
+consumed by one kind of call only, and a chunk's draw of T rounds takes the
+same random numbers as T one-round draws, so results do not depend on the
+chunk length either.
 """
 
 from __future__ import annotations
@@ -210,7 +214,9 @@ ATTACK_DRAWS = {"ees": ("pick", "flips", "decode"), "pes": ("ties",), "history":
 
 @dataclass
 class _Streams:
-    """The scenario's generators, one per key spawned from the seed.  Key 2
+    """The scenario's generators, one per key spawned from the seed: six
+    keys, whatever the population.  The sensing stream draws every user's
+    sensing of a slot as one (user, channel) block, slot after slot.  Key 2
     is the attackers': attacker i draws its kind j (ATTACK_DRAWS[role][j])
     from key 2's grandchild (i, j), which spawning key 2 per user and then
     user i's key per kind would give.  So each (attacker, kind) pair has a
@@ -222,7 +228,7 @@ class _Streams:
     pads: np.random.Generator
     ties: np.random.Generator
     subset: np.random.Generator
-    sensing: list[np.random.Generator]
+    sensing: np.random.Generator
     attack: dict[tuple[int, str], np.random.Generator]  # by (user, kind)
 
 
@@ -232,13 +238,13 @@ def _subset_stream(seed: int) -> np.random.Generator:
 
 
 def _spawn_streams(seed: int, users: tuple[UserSpec, ...]) -> _Streams:
-    keys = np.random.SeedSequence(seed).spawn(5 + len(users))
+    keys = np.random.SeedSequence(seed).spawn(6)
     return _Streams(
         channel=np.random.default_rng(keys[0]),
         pads=np.random.default_rng(keys[1]),
         ties=np.random.default_rng(keys[3]),
-        subset=_subset_stream(seed),
-        sensing=[np.random.default_rng(k) for k in keys[5:]],
+        subset=np.random.default_rng(keys[4]),
+        sensing=np.random.default_rng(keys[5]),
         # made directly, without spawning a key per user
         attack={(i, kind): np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2, i, j)))
                 for i, u in enumerate(users) for j, kind in enumerate(ATTACK_DRAWS.get(u.role, ()))},
@@ -274,10 +280,11 @@ def _run_rounds(
     recovery and decryption of every (honest receiver, sender) pair, and
     fusion for every honest user.  Every stream is drawn for the whole
     chunk at once, from the same random numbers as slot-by-slot draws: the
-    channel chain, each user's sensing, and the pads of every publisher
-    (own reports, then pes users).  Each attacker acts once per chunk on
-    the stacked rounds, drawing from its own streams (see `_Streams`); a
-    history user acts on the chunk's replay rounds only.  Then the honest
+    channel chain, the sensing of every user (one `spectrum.sense` call on
+    the sensing stream, in (slot, user, channel) order), and the pads of
+    every publisher (own reports, then pes users).  Each attacker acts once
+    per chunk on the stacked rounds, drawing from its own streams (see
+    `_Streams`); a history user acts on the chunk's replay rounds only.  Then the honest
     mesh is recovered and fused for every pair of every slot at once: in
     block space on a described subset (`_mesh_by_blocks`), and on explicit
     pads or in plaintext by one `protocol.recover_pads` and one
@@ -296,10 +303,9 @@ def _run_rounds(
     target = _designated_recipient(sc)
     truth = spectrum.sample_states(model, streams.channel, previous=state.truth, slots=rounds)
 
-    # sensing: every role draws a full vector from its own stream (keeps
-    # streams aligned across role reassignments); pes reads only its prefix
-    sensed = np.stack([spectrum.sense(truth, p, rng) for p, rng in zip(profiles, streams.sensing)],
-                      axis=1)
+    # sensing: every role draws a full vector (keeps the draw the same
+    # across role reassignments); pes reads only its prefix
+    sensed = spectrum.sense(truth, profiles, streams.sensing)  # (T, N, M)
     # each slot's previous sensing, which history users replay on odd rounds
     # (round 0 replays nothing)
     first = sensed[0] if state.sensed is None else state.sensed
@@ -562,7 +568,9 @@ def run_simulation(sc: Scenario) -> SimulationSummary:
                                        minlength=4).reshape(2, 2)
 
     masking = None
-    if sc.encrypted:
+    if sc.encrypted and (subset.xi == 0.5).all():
+        masking = 0.0  # every pad bit is a fair coin, which masks its channel completely
+    elif sc.encrypted:
         occupancy = spectrum.stationary_occupancy(model)
         report = leakage.leakage_report(subset, occupancy, [profiles[target]])
         masking = float(np.mean(report.per_channel_mi[0]))

@@ -12,6 +12,7 @@ States are 1 = busy (primary user transmitting), 0 = idle.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,7 +158,7 @@ class DetectorProfile:
 
 def sense(
     states: np.ndarray,
-    profile: DetectorProfile,
+    profile: DetectorProfile | Sequence[DetectorProfile],
     rng: np.random.Generator,
 ) -> np.ndarray:
     """One user's noisy sensing report for a true state vector, or one
@@ -166,12 +167,28 @@ def sense(
     Busy channels are missed with probability miss[i]; idle channels raise a
     false alarm with probability false_alarm[i].  A stack is sensed from the
     same random numbers as one call per row, in row order.
+
+    Given a sequence of N users' profiles in place of one, every user senses
+    the same truth: the result is (N, M) for a state vector and (slots, N, M)
+    for a stack, drawn in (slot, user, channel) order, so a stack is again
+    sensed from the same random numbers as one call per slot.
     """
     states = np.asarray(states, dtype=np.uint8)
-    if states.ndim not in (1, 2) or states.shape[-1] != profile.num_channels:
-        raise ValueError(f"states has shape {states.shape}, profile has {profile.num_channels} channels")
+    if isinstance(profile, DetectorProfile):
+        miss, false_alarm = profile.miss, profile.false_alarm
+    else:
+        channels = {p.num_channels for p in profile}
+        if len(channels) != 1:
+            raise ValueError(f"sense needs profiles of one channel count, got {sorted(channels)}")
+        miss = np.array([p.miss for p in profile])
+        false_alarm = np.array([p.false_alarm for p in profile])
+    width = miss.shape[-1]
+    if states.ndim not in (1, 2) or states.shape[-1] != width:
+        raise ValueError(f"states has shape {states.shape}, profile has {width} channels")
     if states.max(initial=0) > 1:
         raise ValueError("state entries must be 0 or 1")
-    flip = np.where(states == 1, profile.miss, profile.false_alarm)
-    errors = rng.random(states.shape) < flip
-    return np.bitwise_xor(states, errors.astype(np.uint8))
+    if miss.ndim == 2:  # one (user, channel) table: sense every user
+        states = states[..., None, :]
+    flip = np.where(states == 1, miss, false_alarm)
+    errors = rng.random(flip.shape) < flip
+    return np.bitwise_xor(states, errors.view(np.uint8))

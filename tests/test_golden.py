@@ -63,17 +63,24 @@ SCENARIOS = {
 # got its own stream, so that every attacker acts once per chunk of rounds:
 # attackers 39d44e0c -> e0d71102, ees_previous_round 09d8c107 -> a80a9b8f,
 # plaintext 0d332f0f -> 926dc9b4
+# Every digest re-recorded when all users' sensing came to be drawn from one
+# stream, one (slot, user, channel) block per chunk: attackers e0d71102 ->
+# 87dd956a, ees_previous_round a80a9b8f -> 3d37008f, p_target_omega 303ecc97
+# -> 0ff900a0, pairs1_even_band 9e1c127a -> ee642c6b, pairs4_m6 a766067e ->
+# 58c4ee8b, phi10_even_width fe29f9e5 -> 23b1dd6b, phi2_tail 35b50525 ->
+# 2282d446, phi6_tail b6a1535d -> 3dbf3899, plaintext 926dc9b4 -> 55c47950,
+# threshold_no_self c2793a15 -> dec5db7c
 DIGESTS = {
-    "attackers": "e0d711027f12f446a689505cb54b351231aa73c485265d2fad1b82c50f2eab26",
-    "ees_previous_round": "a80a9b8f99b3466e4c50b24bf334494ddea527c4d6cc27ca57b4e2ff7016c889",
-    "p_target_omega": "303ecc97f6dd59a722469562f3b1269af0c183ece492ec6abcd781b2d23ffed6",
-    "pairs1_even_band": "9e1c127ac33b367b74ea509677ceadebf45e2bfde10d390196cbdf41be61bd52",
-    "pairs4_m6": "a766067ee5bf3fb018ce6262b44ebef44de14d084a9ef879c6417271fb4917d2",
-    "phi10_even_width": "fe29f9e5706a8609bbd388c52bfc69904af6f48801f72281dc828831396f255c",
-    "phi2_tail": "35b50525093f5b27e1d5bd083c1e8d6e12641e223b235907205895f65f9d5c9e",
-    "phi6_tail": "b6a1535d4f5d62bd19c8486c5119da8a9333456afc5f2fbdda2d72e0290d167a",
-    "plaintext": "926dc9b44b08a9eb0714634ef35e0b6b6c8ad16fde363710e6b871b203bcaa05",
-    "threshold_no_self": "c2793a152adb5babd9be204c8512aa6beee78af9ebea6faaba12d2c0e8a2bf67",
+    "attackers": "87dd956a9154a0ece6c4d0bf0f6bfebe7d390b6c6e23d87c68d2db311ce1545c",
+    "ees_previous_round": "3d37008ff2112eadc537b164953f9ac89322e39a92f3dd290b17f4dbcaeecb85",
+    "p_target_omega": "0ff900a0f00b1e69ed610c3d91e95c9363efbd17dbf0b420385d6c45fa8f378b",
+    "pairs1_even_band": "ee642c6be6be3abe95391ea2257101cae608f508d81d351b69a81d20b31b3eba",
+    "pairs4_m6": "58c4ee8b9c38a6c6b06d2c59a4acaf8b4f6f69bed3b5df486e3bca3b8e969960",
+    "phi10_even_width": "23b1dd6bcf157824a900eb167ec7fd5d11809930aeb5fe53285c21d9c8fd560a",
+    "phi2_tail": "2282d446afdf5a3f3a4e7370a6e40c3164325fb04f33e7688dff83a48a567082",
+    "phi6_tail": "3dbf389937685facf0b2373722d0b877a6126adf96690ba2c0d1927e98392d5c",
+    "plaintext": "55c479506d377c9e29ce0fae6a1ebc869e74d4e5f9f89dd33b019362c4ca03a0",
+    "threshold_no_self": "dec5db7c3bb5b5b4657892b84bf69a5ca0a2740aa3ffa6409bfad59ad0b061bd",
 }
 
 

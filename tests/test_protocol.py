@@ -583,6 +583,23 @@ def vote_geometries(rng):
         yield generate_subset(m, phi, rng)
 
 
+def test_signed_blocks_are_zero_padded_sign_blocks():
+    # built block by block from block_positions: 2*bit - 1 on a block's own
+    # positions, zeros past the end of a shorter last block
+    rng = np.random.default_rng(31)
+    for sub in vote_geometries(rng):
+        for lead in ((1,), (16,), (3, 5)):
+            bits = rng.random((*lead, sub.length)) < 0.5
+            want = np.zeros((*lead, sub.num_blocks, sub.block_length))
+            for b in range(sub.num_blocks):
+                positions = sub.block_positions(b)
+                want[..., b, :positions.size] = np.where(bits[..., positions], 1, -1)
+            for given in (bits, bits.astype(np.uint8)):
+                for dtype in (np.float32, np.float64):
+                    got = protocol._signed_blocks(given, sub, dtype)
+                    assert got.dtype == dtype and np.array_equal(got, want), (sub.length, lead)
+
+
 def test_block_margins_match_a_reduceat_reference(monkeypatch):
     # unit and 0/1 weights are summed exactly by both, so the digits, the
     # tied blocks and hence the tie draws agree; log odds are summed in

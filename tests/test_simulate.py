@@ -582,7 +582,12 @@ def reference_round(sc, subset, model, profiles, state, streams):
     roles = np.array([u.role for u in sc.users])
     honest = np.flatnonzero(roles == "honest")
     truth = spectrum.sample_states(model, streams.channel, previous=state.truth)
-    sensed = np.array([spectrum.sense(truth, profiles[i], streams.sensing[i]) for i in range(n)])
+    # one (user, channel) block of uniforms per round, each user's row
+    # compared with its own miss/false-alarm table
+    u = streams.sensing.random((n, m))
+    sensed = np.array([truth ^ (u[i] < np.where(truth == 1, profiles[i].miss,
+                                                profiles[i].false_alarm))
+                       for i in range(n)], dtype=np.uint8)
 
     reports = np.zeros((n, m), dtype=np.uint8)
     ciphertexts = np.zeros((n, m), dtype=np.uint8)
@@ -849,10 +854,57 @@ def test_subset_stream_is_the_spawned_subset_stream():
     # key 4 of the seed's spawned keys, whatever the population
     for seed in (0, 7, 2 ** 40):
         for users in ((HONEST,), (HONEST,) * 3 + (UserSpec(role="ees"),) * 3):
-            spawned = np.random.SeedSequence(seed).spawn(5 + len(users))[4]
+            spawned = np.random.SeedSequence(seed).spawn(6)[4]
             want = np.random.default_rng(spawned).bit_generator.state
             assert simulate._subset_stream(seed).bit_generator.state == want
             assert _spawn_streams(seed, users).subset.bit_generator.state == want
+
+
+def test_spawned_streams_do_not_depend_on_the_population_size():
+    def states(streams):
+        return [getattr(streams, name).bit_generator.state
+                for name in ("channel", "pads", "ties", "subset", "sensing")]
+
+    for seed in (0, 7, 2 ** 40):
+        five, twenty = _spawn_streams(seed, (HONEST,) * 5), _spawn_streams(seed, (HONEST,) * 20)
+        assert states(five) == states(twenty)
+        assert five.attack == twenty.attack == {}
+        keys = np.random.SeedSequence(seed).spawn(6)
+        assert five.sensing.bit_generator.state == np.random.default_rng(keys[5]).bit_generator.state
+
+
+def recorded_sensing(monkeypatch, sc):
+    """Every `spectrum.sense` result of a run, in call order."""
+    calls, sense = [], spectrum.sense
+
+    def recording(*args):
+        calls.append(sense(*args))
+        return calls[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(spectrum, "sense", recording)
+        run_simulation(sc)
+    return calls
+
+
+def test_a_role_change_leaves_every_users_sensing_unchanged(monkeypatch):
+    honest = Scenario(num_channels=23, users=(HONEST,) * 5, pairs=None, phi=5, rounds=12, seed=3)
+    selfish = dataclasses.replace(honest, users=(HONEST,) * 4 + (UserSpec(role="ees"),))
+    want, got = recorded_sensing(monkeypatch, honest), recorded_sensing(monkeypatch, selfish)
+    assert len(want) == len(got) == 1
+    assert got[0].shape == (12, 5, 23)
+    # the honest users' rows, and the ees user's full row, which it draws
+    # but does not publish
+    assert np.array_equal(got[0], want[0])
+
+
+def test_sensing_is_one_call_per_chunk_for_the_whole_population(monkeypatch):
+    # the mesh benchmark geometry: 20 honest users, 9 blocks of 11 channels
+    sc = Scenario(num_channels=99, users=(HONEST,) * 20, pairs=None, phi=11, rounds=10, seed=1)
+    assert [s.shape for s in recorded_sensing(monkeypatch, sc)] == [(10, 20, 99)]
+    monkeypatch.setattr(simulate, "ROUND_CHUNK", 3 * round_cells(sc))
+    chunks = [s.shape[0] for s in recorded_sensing(monkeypatch, sc)]
+    assert chunks == [3, 3, 3, 1]
 
 
 # ---- the honest mesh in block space ---------------------------------------

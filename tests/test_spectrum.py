@@ -123,6 +123,41 @@ def test_stacked_sense_matches_one_call_per_row():
             sense(bad, profile, stacked_rng)
 
 
+def population(n, m=16):
+    """n distinct per-channel profiles over m channels."""
+    return [DetectorProfile(np.linspace(0.0, 0.5, m) + 0.01 * i, np.linspace(0.3, 0.05, m))
+            for i in range(n)]
+
+
+def test_population_sense_of_a_stack_matches_one_call_per_slot():
+    profiles = population(5)
+    states = sample_states(ChannelModel(16, 1.0, 1.0), np.random.default_rng(6), slots=25)
+    stacked_rng, slot_rng = np.random.default_rng(7), np.random.default_rng(7)
+    stacked = sense(states, profiles, stacked_rng)
+    slots = np.stack([sense(row, profiles, slot_rng) for row in states])
+    assert stacked.shape == (25, 5, 16) and stacked.dtype == np.uint8
+    assert np.array_equal(stacked, slots)
+    assert stacked_rng.bit_generator.state == slot_rng.bit_generator.state
+    # drawn in (slot, user, channel) order, each user against its own table
+    u = np.random.default_rng(7).random((25, 5, 16))
+    for i, p in enumerate(profiles):
+        flip = np.where(states == 1, p.miss, p.false_alarm)
+        assert np.array_equal(stacked[:, i], states ^ (u[:, i] < flip)), i
+
+
+def test_population_sense_rejects_bad_input_before_drawing():
+    rng = np.random.default_rng(8)
+    before = rng.bit_generator.state
+    profiles = population(3)
+    for bad in (np.zeros((2, 15), dtype=np.uint8), np.full(16, 2), np.zeros((2, 2, 16))):
+        with pytest.raises(ValueError):
+            sense(bad, profiles, rng)
+    for bad_profiles in ([], population(2) + population(1, m=15)):
+        with pytest.raises(ValueError):
+            sense(np.zeros(16, dtype=np.uint8), bad_profiles, rng)
+    assert rng.bit_generator.state == before
+
+
 def test_sense_error_rates_converge():
     n = 100_000
     profile = DetectorProfile.homogeneous(n, 0.1, 0.2)
