@@ -1,20 +1,13 @@
-"""Bit-vector helpers and canonical serialization.
+"""Bit-vector helpers and the canonical text encoding.
 
 Binary vectors (channel states, sensing reports, pads, ciphertexts) are
-numpy uint8 arrays with values in {0, 1}.  Two canonical encodings:
-
-* text: big-endian bit string, index 0 first, e.g. array([1,0,0,1]) <-> "1001"
-* packed: 4-byte big-endian unsigned bit count, then the bits packed
-  most-significant-bit first (numpy packbits order), zero filled to a byte.
+numpy uint8 arrays with values in {0, 1}.  Their text form is a big-endian
+bit string, index 0 first, e.g. array([1,0,0,1]) <-> "1001".
 """
 
 from __future__ import annotations
 
-import struct
-
 import numpy as np
-
-_LEN = struct.Struct(">I")
 
 
 def as_bits(values) -> np.ndarray:
@@ -54,19 +47,3 @@ def from_string(s: str) -> np.ndarray:
         raise ValueError(f"not a bit string: {s!r}")
     return np.frombuffer(s.encode("ascii"), dtype=np.uint8) - ord("0")
 
-
-def pack(a) -> bytes:
-    a = as_bits(a)
-    return _LEN.pack(a.size) + np.packbits(a).tobytes()
-
-
-def unpack(data: bytes) -> np.ndarray:
-    if len(data) < _LEN.size:
-        raise ValueError("packed bit vector shorter than its length header")
-    (n,) = _LEN.unpack_from(data)
-    payload = data[_LEN.size:]
-    expected = (n + 7) // 8
-    if len(payload) != expected:
-        raise ValueError(f"expected {expected} payload bytes for {n} bits, got {len(payload)}")
-    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=n)
-    return bits.astype(np.uint8)

@@ -218,17 +218,6 @@ class PadSubset:
         """The block of each position: (length,)."""
         return np.arange(self.length) // self.block_length
 
-    @functools.cached_property
-    def _unit_vote(self) -> tuple[np.ndarray, np.ndarray]:
-        """Unit vote weights and the (length, size) table of 2*pad - 1."""
-        return self._unit_weights, _signed(self.pads.T, self._unit_weights.dtype)
-
-    @functools.cached_property
-    def _signed_pads(self) -> np.ndarray:
-        """The (length, size) float64 table of 2*pad - 1 that weighted votes
-        score against."""
-        return _signed(self.pads.T, np.float64)
-
 
 def generate_subset(
     length: int,
@@ -489,13 +478,10 @@ def recover_pads(
     if np.bitwise_or(own, cipher).max(initial=0) > 1:
         raise ValueError("report and ciphertext entries must be 0 or 1")
     targets = np.bitwise_xor(own, cipher).view(bool)
+    weights = subset._unit_weights if weights is None else _vote_weights(subset, weights)
     if subset.base_pad is not None:
-        w = subset._unit_weights if weights is None else _vote_weights(subset, weights)
-        return _vote_blocks(targets, subset, w, rng)
-    if weights is None:
-        weights, signed_pads = subset._unit_vote
-    else:
-        weights, signed_pads = _vote_weights(subset, weights), subset._signed_pads
+        return _vote_blocks(targets, subset, weights, rng)
+    signed_pads = _signed(subset.pads.T, weights.dtype)
     picks = np.empty(targets.shape[0], dtype=np.intp)
     step = max(1, SCORE_CHUNK // max(subset.size, subset.length))
     for lo in range(0, targets.shape[0], step):

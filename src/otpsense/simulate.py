@@ -5,13 +5,16 @@ profiles), the pad subset construction, the fusion rule and the horizon.
 The round engine runs each chunk of rounds in the protocol's phase order:
 channel evolution, sensing, publication, attacks, full-mesh exchange,
 recovery and decryption, fusion.  It draws every stream for the whole chunk
-at once: each attacker makes one call per kind of attack per chunk.  On a
-described subset (`generate_subset`) the honest mesh recovers and fuses in
-block space, from two batched products per chunk over (receiver, sender,
-block) margins and flips, without a (pair, channel) array; on explicit
-pads and in plaintext it makes one recovery call and one fusion call per
-chunk over a row per pair.  A chunk holds at most ROUND_CHUNK cells (see
-`_round_cells`), so memory does not grow with the horizon.
+at once: each attacker makes one call per kind of attack per chunk.  Every
+honest receiver decodes every user's ciphertext, its own included (that
+pair decodes to its own report), into one busy count per channel.  On a
+described subset (`generate_subset`) the counts come from two batched
+products per chunk over (receiver, sender, block) margins and flips,
+without a (pair, channel) array; on explicit pads from one recovery call
+per chunk over a row per pair of distinct users; in plaintext from one sum
+of the round's reports.  The engine then applies one threshold to every
+honest user.  A chunk holds at most ROUND_CHUNK cells (see `_round_cells`),
+so memory does not grow with the horizon.
 `run_simulation` runs the horizon chunk by chunk and aggregates metrics;
 `run_experiment` sweeps one or two scenario parameters, each sweep point on
 an independent random stream derived from (seed, point index), optionally on
@@ -175,7 +178,8 @@ ROUND_CHUNK = 2 ** 19
 
 def _round_cells(sc: Scenario, subset: protocol.PadSubset | None) -> int:
     """Cells one round holds in a chunk (see ROUND_CHUNK) on the scenario's
-    built subset, None in plaintext."""
+    built subset, None in plaintext, where the count is an upper bound: a
+    plaintext round holds no pair rows."""
     n = len(sc.users)
     h = sum(u.role == "honest" for u in sc.users)
     m = sc.num_channels
@@ -203,8 +207,8 @@ class _Rounds:
     pads: np.ndarray | None              # (T, N, M); None in plaintext
     recovery_success: np.ndarray | None  # (T, N, N) float, 1/0 per (receiver, sender)
                                          # pair with a known pad, NaN elsewhere
-    decisions: np.ndarray                # (T, honest users, M) uint8 fused, in user order;
-                                         # the same bytes on either mesh route
+    decisions: np.ndarray                # (T, honest users, M) uint8 fused, in user order,
+                                         # by one threshold on either mesh route
     attacks: dict[int, _Attack]          # by attacker, in user order
 
 
@@ -284,14 +288,16 @@ def _run_rounds(
     the sensing stream, in (slot, user, channel) order), and the pads of
     every publisher (own reports, then pes users).  Each attacker acts once
     per chunk on the stacked rounds, drawing from its own streams (see
-    `_Streams`); a history user acts on the chunk's replay rounds only.  Then the honest
-    mesh is recovered and fused for every pair of every slot at once: in
-    block space on a described subset (`_mesh_by_blocks`), and on explicit
-    pads or in plaintext by one `protocol.recover_pads` and one
-    `fusion.fuse` call (`_mesh_by_rows`).  Both routes draw tie-breaks from
-    streams.ties in the same order and give the same bytes.  Attacks are
-    scored against the target's pads here, so no ground truth is passed to
-    the attacker ops.
+    `_Streams`); a history user acts on the chunk's replay rounds only.  Then
+    every honest receiver decodes every user's ciphertext of every slot at
+    once, its own included: in block space on a described subset
+    (`_mesh_by_blocks`), and on explicit pads by one `protocol.recover_pads`
+    call (`_mesh_by_rows`).  Both routes draw tie-breaks from streams.ties in
+    the same order and return the same hits and busy counts; in plaintext
+    the count is the sum of the round's reports.  The recovery matrix, the
+    removal of a receiver's own report when include_self is false and the
+    fusion threshold are applied here, once.  Attacks are scored against the
+    target's pads here, so no ground truth is passed to the attacker ops.
     """
     n = len(sc.users)
     m = sc.num_channels
@@ -384,15 +390,26 @@ def _run_rounds(
             attack(i, replay, adversary.history_act(stale[replay, i], cipher[replay], subset,
                                                     streams.attack[i, "ties"]))
 
-    # phases 3-5: full-mesh exchange, every honest user receiving from every
-    # other user, recovery and decryption of every pair, and one rule for
-    # every honest user of every slot
+    # phases 3-5: full-mesh exchange, every honest user decoding every
+    # user's ciphertext, its own included, and one rule for every honest
+    # user of every slot
+    recovery = None
+    if sc.encrypted:
+        mesh = _mesh_by_blocks if subset.base_pad is not None else _mesh_by_rows
+        hits, counts = mesh(subset, honest, reports, ciphertexts, pads, streams.ties)
+        recovery = np.full((rounds, n, n), np.nan)
+        recovery[:, honest] = np.where((honest[:, None] != np.arange(n)) & pad_known[:, None],
+                                       hits, np.nan)
+    else:
+        # every receiver reads the same round of reports
+        counts = ciphertexts.sum(axis=1, dtype=np.min_scalar_type(n))[:, None]
+        counts = np.broadcast_to(counts, (rounds, honest.size, m))
+    if not sc.include_self:
+        counts = counts - reports[:, honest]
     reports_each = n - 1 + int(sc.include_self)
     rule = (fusion.FusionRule.majority(reports_each) if sc.fusion_threshold is None
             else fusion.FusionRule(sc.fusion_threshold, reports_each))
-    mesh = _mesh_by_blocks if sc.encrypted and subset.base_pad is not None else _mesh_by_rows
-    recovery, decisions = mesh(sc, subset, rule, honest, reports, ciphertexts, pads, pad_known,
-                               streams.ties)
+    decisions = (counts >= rule.threshold).astype(np.uint8)
 
     state.truth = truth[-1].copy()
     state.sensed = sensed[-1].copy()
@@ -409,43 +426,43 @@ def _run_rounds(
     )
 
 
-def _mesh_by_rows(sc, subset, rule, honest, reports, ciphertexts, pads, pad_known, ties):
-    """Phases 3-5 on a row per (receiver, sender) pair: one
+def _mesh_by_rows(subset, honest, reports, ciphertexts, pads, ties):
+    """Phases 3-5 on a row per (receiver, other sender) pair: one
     `protocol.recover_pads` call over every pair of every slot, round-major,
-    then receiver, then sender (the order ties are drawn from `ties`), and
-    one `fusion.fuse` call over every honest user of every slot.
+    then receiver, then sender (the order ties are drawn from `ties`).  A
+    receiver's own pair is not voted: it decodes to the receiver's own
+    report, which is added to the summed decodes.
 
     Returns:
-        recovery: (T, N, N) float, 1/0 per pair whose sender's pad is
-            known, NaN elsewhere; None in plaintext.
-        decisions: (T, honest users, M) uint8 fused decisions.
+        hits: (T, honest users, N) bool, the recovered pad is the sent one
+            (True on the receiver's own pair).
+        counts: (T, honest users, M) busy count over all N decoded reports.
     """
     rounds, n, m = reports.shape
     pair_h, senders = np.nonzero(honest[:, None] != np.arange(n))
-    receivers = honest[pair_h]
     received = np.take(ciphertexts, senders, axis=1)
-    recovery = None
-    if sc.encrypted:
-        own_reports = np.take(reports, receivers, axis=1).reshape(-1, m)
-        got = protocol.recover_pads(own_reports, received.reshape(-1, m), subset,
-                                    ties).reshape(received.shape)
-        received ^= got
-        recovery = np.full((rounds, n, n), np.nan)
-        # recovered and sent pads are both members of the subset, so their
-        # member keys decide equality
-        sent = np.take(subset.member_keys(pads), senders, axis=1)
-        recovery[:, receivers, senders] = np.where(
-            pad_known[:, senders], (subset.member_keys(got) == sent).all(axis=2), np.nan)
-    plain = received.reshape(rounds, honest.size, n - 1, m)
-    if sc.include_self:
-        plain = np.concatenate([np.take(reports, honest, axis=1)[:, :, None], plain], axis=2)
-    return recovery, fusion.fuse(plain, rule)
+    own_reports = np.take(reports, honest[pair_h], axis=1).reshape(-1, m)
+    got = protocol.recover_pads(own_reports, received.reshape(-1, m), subset,
+                                ties).reshape(received.shape)
+    received ^= got
+    hits = np.ones((rounds, honest.size, n), dtype=bool)
+    # recovered and sent pads are both members of the subset, so their
+    # member keys decide equality
+    sent = np.take(subset.member_keys(pads), senders, axis=1)
+    hits[:, pair_h, senders] = (subset.member_keys(got) == sent).all(axis=-1)
+    counts = received.reshape(rounds, honest.size, n - 1, m).sum(axis=2,
+                                                                 dtype=np.min_scalar_type(n))
+    counts += reports[:, honest]
+    return hits, counts
 
 
-def _mesh_by_blocks(sc, subset, rule, honest, reports, ciphertexts, pads, pad_known, ties):
+def _mesh_by_blocks(subset, honest, reports, ciphertexts, pads, ties):
     """`_mesh_by_rows` on a described subset, in block space: two batched
     products per chunk, and no array with both a pair axis and a channel
-    axis.
+    axis.  Every receiver votes on every ciphertext, its own included: its
+    own target is its own pad, a member, so each of that pair's block
+    margins is plus or minus the block's width, and it neither ties nor
+    misdecodes.
 
     With X a receiver's report and Y = ciphertext ^ base_pad a sender's,
     1 - 2(x ^ y) = (2x - 1)(2y - 1), so the block margins of every pair's
@@ -454,38 +471,27 @@ def _mesh_by_blocks(sc, subset, rule, honest, reports, ciphertexts, pads, pad_kn
     rule, turns them into digits in (round, receiver, sender) order.  Pair
     (h, s) decrypts channel m to Y_s[m] ^ f, where f is the flip digit of
     m's block (1 where the recovered block is the base block's complement),
-    and Y ^ f = 1/2 + (1/2 - f)(2Y - 1): so receiver h's busy count is its
-    own report when it fuses it, plus (N - 1)/2, plus the product of its
-    (1/2 - f) weights over the other senders with their sign blocks.  Every
+    and Y ^ f = 1/2 + (1/2 - f)(2Y - 1): so receiver h's busy count is N/2
+    plus the product of its (1/2 - f) weights with the sign blocks.  Every
     value is a multiple of 1/2 of magnitude at most max(M, N), exact in the
     subset's unit-weight dtype.
     """
     rounds, n, m = reports.shape
     dtype = subset._unit_weights.dtype
-    receivers = np.arange(honest.size)
     # (T, B, rows, w) sign blocks of X and Y
     x = protocol._signed_blocks(reports[:, honest], subset, dtype).transpose(0, 2, 1, 3)
     y = protocol._signed_blocks(ciphertexts ^ subset.base_pad, subset, dtype).transpose(0, 2, 1, 3)
     margins = x @ y.swapaxes(-1, -2)  # (T, B, H, N)
-    # a receiver does not vote on its own ciphertext: a positive margin keeps
-    # the base block, so its own pair neither ties nor flips
-    margins[:, :, receivers, honest] = 1
     digits = protocol._block_digits(margins.transpose(0, 2, 3, 1), subset, ties)  # (T, H, N, B)
     hits = (digits == subset.member_keys(pads)[:, None]).all(axis=-1)
-    recovery = np.full((rounds, n, n), np.nan)
-    recovery[:, honest] = np.where((honest[:, None] != np.arange(n)) & pad_known[:, None], hits,
-                                   np.nan)
 
     # pair (h, s) decrypts channel m to Y_s ^ f = 1/2 + (1/2 - f)(2Y_s - 1)
     flips = (digits ^ subset.base_pad[::subset.block_length]).transpose(0, 3, 1, 2)
     weights = np.subtract(0.5, flips, dtype=dtype)  # (T, B, H, N)
-    weights[:, :, receivers, honest] = 0
     counts = weights @ y  # (T, B, H, w)
     counts = counts.transpose(0, 2, 1, 3).reshape(rounds, honest.size, -1)[..., :m]
-    counts += (n - 1) / 2
-    if sc.include_self:
-        counts += reports[:, honest]
-    return recovery, (counts >= rule.threshold).astype(np.uint8)
+    counts += n / 2
+    return hits, counts
 
 
 def _designated_recipient(sc: Scenario) -> int:

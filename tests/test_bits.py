@@ -1,4 +1,4 @@
-"""Bit-vector encoding round trips and frozen wire formats."""
+"""Bit-vector helpers and text encoding round trips."""
 
 import numpy as np
 import pytest
@@ -21,34 +21,10 @@ def test_from_string_rejects_junk():
             bits.from_string(bad)
 
 
-def test_packed_format_is_frozen():
-    # 4-byte big-endian bit count, then MSB-first packed payload
-    assert bits.pack([1, 0, 0, 1]) == b"\x00\x00\x00\x04\x90"
-    assert bits.pack([1] * 9) == b"\x00\x00\x00\x09\xff\x80"
-
-
-def test_pack_roundtrip_exhaustive_small():
-    for m in range(1, 10):
-        for x in range(1 << m):
-            v = np.array([(x >> i) & 1 for i in range(m)], dtype=np.uint8)
-            assert np.array_equal(bits.unpack(bits.pack(v)), v)
-
-
-@given(st.lists(st.integers(0, 1), min_size=0, max_size=300))
-def test_pack_roundtrip_random(lst):
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=300))
+def test_string_roundtrip_random(lst):
     v = np.array(lst, dtype=np.uint8)
-    assert np.array_equal(bits.unpack(bits.pack(v)), v)
-    if lst:
-        assert np.array_equal(bits.from_string(bits.to_string(v)), v)
-
-
-def test_unpack_rejects_malformed():
-    with pytest.raises(ValueError):
-        bits.unpack(b"\x00\x00")
-    with pytest.raises(ValueError):
-        bits.unpack(b"\x00\x00\x00\x09\xff")  # payload too short for 9 bits
-    with pytest.raises(ValueError):
-        bits.unpack(b"\x00\x00\x00\x01\x80\x00")  # trailing payload
+    assert np.array_equal(bits.from_string(bits.to_string(v)), v)
 
 
 def test_xor_and_complement():

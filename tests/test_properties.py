@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from otpsense.adversary import ees_act
-from otpsense.bits import complement, from_string, pack, to_string, unpack, xor
+from otpsense.bits import complement, from_string, to_string, xor
 from otpsense.fusion import FusionRule, fuse
 from otpsense.leakage import masking_level, xi_profile
 from otpsense.protocol import (
@@ -30,12 +30,6 @@ def test_xor_roundtrip(report, seed):
     report = np.array(report, dtype=np.uint8)
     pad = (np.random.default_rng(seed).random(report.size) < 0.5).astype(np.uint8)
     assert np.array_equal(xor(xor(report, pad), pad), report)
-
-
-@given(bit_lists)
-def test_pack_unpack_roundtrip(bits_in):
-    arr = np.array(bits_in, dtype=np.uint8)
-    assert np.array_equal(unpack(pack(arr)), arr)
 
 
 @given(bit_lists)

@@ -699,7 +699,7 @@ def test_subset_pads_read_only_and_derived_arrays_lazy():
     assert "pads" not in vars(sub)
     with pytest.raises(ValueError):
         sub.pads[0, 0] ^= 1
-    assert "xi" not in vars(sub) and "_unit_vote" not in vars(sub)
+    assert "xi" not in vars(sub) and "_unit_weights" not in vars(sub)
     xi = xi_profile(sub)
     assert xi is xi_profile(sub) and not xi.flags.writeable
     assert np.array_equal(xi, 1.0 - sub.pads.mean(axis=0))

@@ -944,11 +944,13 @@ def test_block_mesh_matches_recover_pads_and_fuse_on_flattened_pairs(
     def both(*args):
         *inputs, ties = args
         rows_ties = copy.deepcopy(ties)
-        want = simulate._mesh_by_rows(*inputs, rows_ties)
-        got = blocks(*args)
-        assert same(got, want)
+        want_hits, want_counts = simulate._mesh_by_rows(*inputs, rows_ties)
+        hits, counts = got = blocks(*args)
+        # the block route counts in its float dtype, the row route in uint8
+        assert same(hits, want_hits)
+        assert counts.shape == want_counts.shape and np.array_equal(counts, want_counts)
         assert ties.bit_generator.state == rows_ties.bit_generator.state
-        compared.append(got[1].shape[0])
+        compared.append(hits.shape[0])
         return got
 
     with pytest.MonkeyPatch.context() as patch:
@@ -970,3 +972,40 @@ def test_a_described_honest_mesh_never_calls_recover_pads_or_fuse(monkeypatch):
         assert summary.honest_recovery_rate > 0.5
     with pytest.raises(AssertionError, match="row kernel"):
         run_simulation(Scenario(num_channels=23, users=(HONEST,) * 3, rounds=2))
+
+
+MESH_ROUTES = {
+    "plaintext": dict(encrypted=False),
+    "pairs1": dict(pairs=1),
+    "pairs3": dict(pairs=3),
+    "phi4": dict(pairs=None, phi=4),
+}
+
+
+@pytest.mark.parametrize("route", sorted(MESH_ROUTES))
+def test_no_run_calls_fuse(monkeypatch, route):
+    # the engine fuses by one threshold on its busy counts, on every route
+    def refuse(*args, **kwargs):
+        raise AssertionError("the engine called fuse")
+
+    monkeypatch.setattr(fusion, "fuse", refuse)
+    users = (HONEST,) * 3 + (UserSpec(role="ees"), UserSpec(role="pes", sensed_channels=5))
+    for include_self, threshold in ((True, None), (False, 2)):
+        summary = run_simulation(small_scenario(users=users, include_self=include_self,
+                                                fusion_threshold=threshold, rounds=6,
+                                                **MESH_ROUTES[route]))
+        assert 0 <= summary.metrics.false_positive_rate <= 1
+
+
+@pytest.mark.parametrize("route", sorted(MESH_ROUTES))
+def test_a_lone_honest_user_fuses_exactly_its_own_report(route):
+    sc = small_scenario(users=(HONEST,), rounds=6, **MESH_ROUTES[route])
+    rr = simulate._run_rounds(*start(sc), sc.rounds)
+    assert rr.decisions.shape == (6, 1, 12)
+    assert np.array_equal(rr.decisions[:, 0], rr.reports[:, 0])
+    if sc.encrypted:
+        assert rr.recovery_success.shape == (6, 1, 1)
+        assert np.isnan(rr.recovery_success).all()
+    else:
+        assert rr.recovery_success is None
+    assert run_simulation(sc).honest_recovery_rate is None
