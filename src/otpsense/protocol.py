@@ -20,7 +20,8 @@ Subsets come in two flavours:
   draws work block by block, and `PadSubset.pads` lists the rows only when
   read.
 * `generate_pairs`: independent random complement pairs, no block structure,
-  stored as explicit rows and scored against every row.
+  stored as explicit rows and scored against every row (`make_subset` builds
+  one pair as the first flavour's subset of one block).
 
 Both are closed under bitwise complement, which is what makes the published
 ciphertext carry zero information about the channel states (every bit of a
@@ -305,13 +306,16 @@ def make_subset(
     """The subset a configuration names, taking the first that is set of:
     p_target (blocks of the smallest odd width whose predicted rate at
     agreement `eta` reaches it), phi (blocks of that width), or pairs
-    (`generate_pairs`).  Block widths are scaled by omega (`widen_block`)."""
+    (`generate_pairs`; one pair is one block of width length, with the pads,
+    order and random numbers of `generate_pairs(length, 1)`).  Block widths
+    are scaled by omega (`widen_block`), checked whatever the construction."""
     if p_target is not None:
         width = invert_success_rate(p_target, eta)
-    elif phi is not None:
-        width = phi
-    else:
+    elif phi is None and pairs != 1:
+        widen_block(length, length, omega)  # rejects a bad omega
         return generate_pairs(length, pairs, rng)
+    else:
+        width = length if phi is None else phi
     return generate_subset(length, widen_block(length, width, omega), rng)
 
 

@@ -8,13 +8,13 @@ recovery and decryption, fusion.  It draws every stream for the whole chunk
 at once: each attacker makes one call per kind of attack per chunk.  Every
 honest receiver decodes every user's ciphertext, its own included (that
 pair decodes to its own report), into one busy count per channel.  On a
-described subset (`generate_subset`) the counts come from two batched
-products per chunk over (receiver, sender, block) margins and flips,
-without a (pair, channel) array; on explicit pads from one recovery call
-per chunk over a row per pair of distinct users; in plaintext from one sum
-of the round's reports.  The engine then applies one threshold to every
-honest user.  A chunk holds at most ROUND_CHUNK cells (see `_round_cells`),
-so memory does not grow with the horizon.
+described subset (`generate_subset`, or one pair) the counts come from
+two batched products per chunk over (receiver, sender, block) margins and
+flips, without a (pair, channel) array; on other explicit pads from one
+recovery call per chunk over a row per pair of distinct users; in
+plaintext from one sum of the round's reports.  The engine then applies one
+threshold to every honest user.  A chunk holds at most ROUND_CHUNK cells
+(see `_round_cells`), so memory does not grow with the horizon.
 `run_simulation` runs the horizon chunk by chunk and aggregates metrics;
 `run_experiment` sweeps one or two scenario parameters, each sweep point on
 an independent random stream derived from (seed, point index), optionally on
@@ -42,7 +42,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import adversary, fusion, leakage, protocol, spectrum
+from . import adversary, fusion, protocol, spectrum
 
 ROLES = ("honest", "ees", "pes", "history")
 SWEEPABLE = ("channels", "pairs", "phi", "selfish", "rounds", "slot_period")
@@ -76,8 +76,8 @@ class Scenario:
     Subset construction precedence: p_target (size the block length from the
     predicted agreement probability, scaled by omega) > phi (explicit block
     length, scaled by omega) > pairs (that many independent complement
-    pairs).  encrypted=False bypasses pads entirely and shares raw reports
-    (the plaintext baseline the protocol is benchmarked against).
+    pairs; one pair is one block).  encrypted=False bypasses pads entirely
+    and shares raw reports (the plaintext baseline).
     """
 
     num_channels: int = 100
@@ -178,12 +178,14 @@ ROUND_CHUNK = 2 ** 19
 
 def _round_cells(sc: Scenario, subset: protocol.PadSubset | None) -> int:
     """Cells one round holds in a chunk (see ROUND_CHUNK) on the scenario's
-    built subset, None in plaintext, where the count is an upper bound: a
-    plaintext round holds no pair rows."""
+    built subset, None in plaintext, where a round holds no pair rows: its
+    (user, channel) rows and one busy count per (receiver, channel)."""
     n = len(sc.users)
     h = sum(u.role == "honest" for u in sc.users)
     m = sc.num_channels
-    if subset is not None and subset.base_pad is not None:
+    if subset is None:
+        return (n + h) * m
+    if subset.base_pad is not None:
         return n * m + h * n * subset.num_blocks
     return (n + h * (n - 1)) * m
 
@@ -573,14 +575,6 @@ def run_simulation(sc: Scenario) -> SimulationSummary:
             contingency += np.bincount(np.concatenate(guesses, axis=None),
                                        minlength=4).reshape(2, 2)
 
-    masking = None
-    if sc.encrypted and (subset.xi == 0.5).all():
-        masking = 0.0  # every pad bit is a fair coin, which masks its channel completely
-    elif sc.encrypted:
-        occupancy = spectrum.stationary_occupancy(model)
-        report = leakage.leakage_report(subset, occupancy, [profiles[target]])
-        masking = float(np.mean(report.per_channel_mi[0]))
-
     return SimulationSummary(
         scenario=sc,
         metrics=metrics,
@@ -589,7 +583,8 @@ def run_simulation(sc: Scenario) -> SimulationSummary:
         attacker_success={i: attack_ok[i] / attack_all[i] for i in sorted(attack_all)},
         attacker_attempts={i: attack_all[i] for i in sorted(attack_all)},
         ees_contingency=contingency,
-        mean_masking_level=masking,
+        # every pad bit of a complement-closed subset is a fair coin
+        mean_masking_level=0.0 if sc.encrypted else None,
     )
 
 

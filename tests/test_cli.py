@@ -344,6 +344,12 @@ def test_experiment_rejects_workers_below_one(tmp_path, capsys, flag, config_wor
     ("subset-gen", "--channels", "10", "--phi", "3", "--omega", "inf"),
     ("subset-gen", "--channels", "10", "--phi", "3", "--omega", "nan"),
     ("subset-gen", "--channels", "10", "--phi", "3", "--omega", "0.5"),
+    # omega is checked whatever the construction
+    ("subset-gen", "--channels", "6", "--pairs", "1", "--omega", "0.5"),
+    ("subset-gen", "--channels", "6", "--pairs", "1", "--omega", "nan"),
+    ("subset-gen", "--channels", "6", "--pairs", "3", "--omega", "0.5"),
+    ("subset-gen", "--channels", "6", "--pairs", "3", "--omega", "inf"),
+    ("mask-level", "--channels", "6", "--pairs", "3", "--omega", "nan"),
 ])
 def test_rejects_non_finite_and_out_of_range_numbers(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -1,12 +1,13 @@
 """Byte identity of fixed-seed simulation results.
 
 Each digest pins everything a `run_simulation` summary reports for one
-scenario.  The scenarios lean on vote ties (even block widths, single pairs
-over an even band, widths that do not divide M and so leave a shorter last
-block) and on every attacker role, because those are the paths where a
-change in how random numbers are drawn would show.  A digest that moves
-means a fixed config and seed no longer reproduce their results; a
-deliberate change must say why in CHANGES.md.
+scenario, and one more pins the bytes `otpsense experiment` writes for a
+sweep over pair subsets and selfish users.  The scenarios lean on vote ties
+(even block widths, single pairs over an even band, widths that do not
+divide M and so leave a shorter last block) and on every attacker role,
+because those are the paths where a change in how random numbers are drawn
+would show.  A digest that moves means a fixed config and seed no longer
+reproduce their results; a deliberate change must say why in CHANGES.md.
 """
 
 import hashlib
@@ -14,7 +15,7 @@ import json
 
 import pytest
 
-from otpsense import protocol
+from otpsense import cli, protocol
 from otpsense.simulate import Scenario, UserSpec, run_simulation
 
 import oracles
@@ -108,3 +109,22 @@ def test_digests_hold_with_reduceat_block_margins(name, monkeypatch):
     # in place of the block-margin kernel, reproduces every digest
     monkeypatch.setattr(protocol, "_vote_blocks", oracles.vote_blocks_by_reduceat)
     assert summary_digest(SCENARIOS[name]) == DIGESTS[name]
+
+
+# `otpsense experiment` over pairs {1, 2, 4} x selfish (ees) {0, 2}: 6 users,
+# M=100, 20 rounds.  Recorded while one pair was held as explicit rows; it
+# holds with one pair as the one-block subset.
+EXPERIMENT = {
+    "num_channels": 100, "users": [{"role": "honest"}] * 6, "rounds": 20, "seed": 3,
+    "sweep": [{"param": "pairs", "values": [1, 2, 4]}, {"param": "selfish", "values": [0, 2]}],
+}
+EXPERIMENT_DIGEST = "c1f2c505ece888dbadbf250b833daf45baec7e6c85847938bfb4b05674be0946"
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_experiment_output_is_byte_identical(tmp_path, workers):
+    config, out = tmp_path / "experiment.json", tmp_path / "rows.jsonl"
+    config.write_text(json.dumps(EXPERIMENT))
+    assert cli.main(["experiment", "--config", str(config), "--workers", workers,
+                     "--format", "json-lines", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == EXPERIMENT_DIGEST

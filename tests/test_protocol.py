@@ -226,6 +226,33 @@ def test_generate_pairs_draws_the_rows_and_state_of_a_draw_per_attempt(length, p
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 10, 23, 100])
+def test_one_pair_is_the_one_block_subset_of_the_same_random_numbers(m):
+    # `make_subset` builds one pair as a described subset; it must list,
+    # draw and vote exactly as `generate_pairs(m, 1)`, tie draws included
+    ties = 0
+    for seed in range(4):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, want = protocol.make_subset(m, got_rng, pairs=1), generate_pairs(m, 1, want_rng)
+        assert got.base_pad is not None and got.num_blocks == 1
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert np.array_equal(got.draw(got_rng, (6, 5)), want.draw(want_rng, (6, 5)))
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        own = (got_rng.random((40, m)) < 0.5).astype(np.uint8)
+        cipher = (got_rng.random((40, m)) < 0.5).astype(np.uint8)
+        # unit weights, then a partial observer's: the first half of the band
+        for weights in (None, (np.arange(m) < m // 2).astype(float)):
+            got_ties, want_ties = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert np.array_equal(recover_pads(own, cipher, got, got_ties, weights),
+                                  recover_pads(own, cipher, want, want_ties, weights))
+            assert got_ties.bit_generator.state == want_ties.bit_generator.state
+            w = np.ones(m) if weights is None else weights
+            margins = (want.pads == (own ^ cipher)[:, None]) @ w
+            ties += np.count_nonzero(margins[:, 0] == margins[:, 1])
+        assert np.array_equal(got.pads, want.pads)
+    assert ties > 0 or m % 2
+
+
 def test_generate_pairs_rejects_taken_rows_in_attempt_order(monkeypatch):
     # 2 pairs in 2 bits take all four pads: whichever pair comes first, an
     # attempt that draws it again is rejected, and the next is drawn

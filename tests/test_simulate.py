@@ -13,8 +13,6 @@ from hypothesis import given, settings, strategies as st
 
 from otpsense import adversary, fusion, leakage, protocol, simulate, spectrum
 from otpsense.fusion import FusionRule, fuse
-from otpsense.leakage import masking_level
-from otpsense.protocol import PadSubset
 from otpsense.simulate import (
     Scenario,
     UserSpec,
@@ -238,26 +236,26 @@ def test_encrypted_and_plaintext_see_identical_truth_and_noise():
     assert enc.mean_masking_level == 0.0
 
 
-def test_mean_masking_level_is_the_mean_of_per_channel_levels(monkeypatch):
-    # keep only the pads that share the first pad's block 0: that block then
-    # leaks, so the mean is not the trivial 0 of a closed subset
-    built = []
-
-    def restricted(sc, rng):
-        subset = build_subset(sc, rng)
-        keep = (subset.pads[:, :3] == subset.pads[0, :3]).all(axis=1)
-        built.append(PadSubset(subset.pads[keep], subset.block_length, subset.num_blocks))
-        return built[-1]
-
-    monkeypatch.setattr(simulate, "build_subset", restricted)
-    sc = small_scenario(pairs=None, phi=3, rounds=2, rate_on=[0.5] * 6 + [1.5] * 6)
-    summary = run_simulation(sc)
-    occupancy = stationary_occupancy(channel_model(sc))
-    profile = detector_profiles(sc)[_designated_recipient(sc)]
-    per = [masking_level(built[0], float(occupancy[i]), profile, i)
-           for i in range(sc.num_channels)]
-    assert summary.mean_masking_level == np.mean(per)
-    assert summary.mean_masking_level > 0
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(1, 64),
+    construction=st.sampled_from(["pairs", "phi", "p_target"]),
+    pairs=st.integers(1, 8),
+    phi=st.integers(1, 64),
+    p_target=st.floats(0.5, 0.999),
+    omega=st.floats(1.0, 4.0),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_every_built_subset_masks_every_channel(m, construction, pairs, phi, p_target, omega,
+                                                seed):
+    # every pad bit of every subset a scenario builds is a fair coin, which
+    # is why an encrypted run reports a mean masking level of exactly 0.0
+    subset = {"pairs": dict(pairs=min(pairs, 2 ** (m - 1))),
+              "phi": dict(pairs=None, phi=min(phi, m)),
+              "p_target": dict(pairs=None, p_target=p_target)}[construction]
+    sc = Scenario(num_channels=m, omega=omega, seed=seed, **subset)
+    built = build_subset(sc, simulate._subset_stream(seed))
+    assert built.xi.dtype == float and (built.xi == 0.5).all()
 
 
 def test_simulation_never_lists_a_described_subset(monkeypatch):
@@ -834,8 +832,9 @@ def test_round_cells_count_block_margins_on_described_subsets():
     sc = Scenario(num_channels=23, users=users, pairs=None, phi=5, omega=1.5)
     # 8-wide blocks: 3 of them; 5 user rows, and 4 receivers by 5 senders
     assert round_cells(sc) == 5 * 23 + 4 * 5 * 3
-    for rows in (dataclasses.replace(sc, pairs=2, phi=None), dataclasses.replace(sc, encrypted=False)):
-        assert round_cells(rows) == (5 + 4 * 4) * 23
+    assert round_cells(dataclasses.replace(sc, pairs=2, phi=None)) == (5 + 4 * 4) * 23
+    # plaintext: 5 user rows and a busy count per (receiver, channel)
+    assert round_cells(dataclasses.replace(sc, encrypted=False)) == (5 + 4) * 23
 
 
 def test_a_p_target_run_sizes_its_blocks_once(monkeypatch):
@@ -970,8 +969,14 @@ def test_a_described_honest_mesh_never_calls_recover_pads_or_fuse(monkeypatch):
         summary = run_simulation(Scenario(num_channels=23, users=(HONEST,) * 6, pairs=None,
                                           phi=phi, rounds=12, seed=phi))
         assert summary.honest_recovery_rate > 0.5
+    # one complement pair is the described subset of one block; M=10 ties
+    for m in (23, 10):
+        summary = run_simulation(Scenario(num_channels=m, users=(HONEST,) * 6, pairs=1,
+                                          rounds=12, seed=m))
+        assert summary.honest_recovery_rate > 0.5
+    assert run_simulation(Scenario()).honest_recovery_rate > 0.5  # the default config
     with pytest.raises(AssertionError, match="row kernel"):
-        run_simulation(Scenario(num_channels=23, users=(HONEST,) * 3, rounds=2))
+        run_simulation(Scenario(num_channels=23, users=(HONEST,) * 3, pairs=2, rounds=2))
 
 
 MESH_ROUTES = {
