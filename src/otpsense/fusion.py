@@ -94,8 +94,8 @@ def score(decisions, truths) -> SensingMetrics:
     idle = truths == 0
     busy = truths == 1
     return SensingMetrics(
-        false_alarms=np.sum(idle & (decisions == 1), axis=0),
+        false_alarms=(idle & (decisions == 1)).sum(axis=0),
         idle_slots=idle.sum(axis=0),
-        misses=np.sum(busy & (decisions == 0), axis=0),
+        misses=(busy & (decisions == 0)).sum(axis=0),
         busy_slots=busy.sum(axis=0),
     )

@@ -22,7 +22,8 @@ a process pool.
 
 Randomness is split into named streams (channel evolution, sensing, pad
 draws, vote tie-breaks, and per attacker one stream for each kind of draw
-it makes) spawned from the scenario seed.  One sensing stream serves the
+it makes) spawned from the scenario seed, each generator made only when a
+run first draws from it.  One sensing stream serves the
 whole population, drawn in (slot, user, channel) order, and every user
 draws a full row whatever its role.  So runs with the protocol enabled and
 disabled, and the points of a `selfish` sweep, see identical channel truth
@@ -36,6 +37,7 @@ chunk length either.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, fields, replace
@@ -53,8 +55,10 @@ class UserSpec:
     """One participant: role plus detector quality.
 
     false_alarm/miss are scalars (applied to every channel) or per-channel
-    tuples.  sensed_channels is read only for the "pes" role: the attacker
-    honestly senses that many channels from the start of the band.
+    tuples; a list or array of rates is stored as a tuple of floats, so
+    every spec is hashable.  sensed_channels is read only for the "pes"
+    role: the attacker honestly senses that many channels from the start
+    of the band.
     """
 
     role: str = "honest"
@@ -67,6 +71,13 @@ class UserSpec:
             raise ValueError(f"unknown role {self.role!r}, expected one of {ROLES}")
         if self.sensed_channels < 0:
             raise ValueError("sensed_channels must be >= 0")
+        for name in ("false_alarm", "miss"):
+            rates = getattr(self, name)
+            if not isinstance(rates, tuple) and np.ndim(rates) > 0:
+                rates = np.asarray(rates, dtype=float)
+                if rates.ndim != 1:
+                    raise ValueError(f"{name} must be a number or a sequence of numbers")
+                object.__setattr__(self, name, tuple(rates.tolist()))
 
 
 @dataclass(frozen=True)
@@ -138,17 +149,19 @@ def channel_model(sc: Scenario) -> spectrum.ChannelModel:
 
 
 def detector_profiles(sc: Scenario) -> list[spectrum.DetectorProfile]:
-    """One detector profile per user, in user order.  Users with equal specs
-    share one profile, so its arrays are read-only."""
-    built: dict[UserSpec, spectrum.DetectorProfile] = {}
-    for u in sc.users:
-        if u not in built:
-            rates = [np.broadcast_to(np.asarray(r, dtype=float), (sc.num_channels,)).copy()
-                     for r in (u.false_alarm, u.miss)]
-            for a in rates:
-                a.flags.writeable = False
-            built[u] = spectrum.DetectorProfile(*rates)
-    return [built[u] for u in sc.users]
+    """One detector profile per user, in user order.  Each (spec, channel
+    count) is built once per process and shared by every user and scenario
+    with that spec, so its arrays are read-only."""
+    return [_detector_profile(u, sc.num_channels) for u in sc.users]
+
+
+@functools.cache
+def _detector_profile(spec: UserSpec, num_channels: int) -> spectrum.DetectorProfile:
+    rates = [np.broadcast_to(np.asarray(r, dtype=float), (num_channels,)).copy()
+             for r in (spec.false_alarm, spec.miss)]
+    for a in rates:
+        a.flags.writeable = False
+    return spectrum.DetectorProfile(*rates)
 
 
 def _target_eta(sc: Scenario) -> float | None:
@@ -218,24 +231,44 @@ class _Rounds:
 ATTACK_DRAWS = {"ees": ("pick", "flips", "decode"), "pes": ("ties",), "history": ("ties",)}
 
 
+class _Stream:
+    """The generator of one spawn key of the scenario seed, made on first
+    use: SeedSequence(seed, spawn_key=key) is the seed's spawned child at
+    that key path.  Draw methods and `bit_generator` are the generator's."""
+
+    def __init__(self, seed: int, key: tuple[int, ...]):
+        self._seed, self._key = seed, key
+
+    @functools.cached_property
+    def _generator(self) -> np.random.Generator:
+        return np.random.default_rng(np.random.SeedSequence(self._seed, spawn_key=self._key))
+
+    def __getattr__(self, name):
+        if name.startswith("_"):
+            raise AttributeError(name)
+        return getattr(self._generator, name)
+
+
 @dataclass
 class _Streams:
     """The scenario's generators, one per key spawned from the seed: six
-    keys, whatever the population.  The sensing stream draws every user's
+    keys, whatever the population, each made only when first drawn from.
+    So a run never makes the tie stream where no vote can tie (odd block
+    widths) or the ees flips stream at ees_modification 0, and honest-only
+    runs make no attacker generator.  The sensing stream draws every user's
     sensing of a slot as one (user, channel) block, slot after slot.  Key 2
     is the attackers': attacker i draws its kind j (ATTACK_DRAWS[role][j])
     from key 2's grandchild (i, j), which spawning key 2 per user and then
     user i's key per kind would give.  So each (attacker, kind) pair has a
-    generator of its own: no attacker draw moves another stream, a stacked
-    draw takes the same random numbers as per-round ones, and honest users
-    get none."""
+    generator of its own: no attacker draw moves another stream, and a
+    stacked draw takes the same random numbers as per-round ones."""
 
-    channel: np.random.Generator
-    pads: np.random.Generator
-    ties: np.random.Generator
-    subset: np.random.Generator
-    sensing: np.random.Generator
-    attack: dict[tuple[int, str], np.random.Generator]  # by (user, kind)
+    channel: _Stream
+    pads: _Stream
+    ties: _Stream
+    subset: _Stream
+    sensing: _Stream
+    attack: dict[tuple[int, str], _Stream]  # by (user, kind)
 
 
 def _subset_stream(seed: int) -> np.random.Generator:
@@ -244,15 +277,13 @@ def _subset_stream(seed: int) -> np.random.Generator:
 
 
 def _spawn_streams(seed: int, users: tuple[UserSpec, ...]) -> _Streams:
-    keys = np.random.SeedSequence(seed).spawn(6)
     return _Streams(
-        channel=np.random.default_rng(keys[0]),
-        pads=np.random.default_rng(keys[1]),
-        ties=np.random.default_rng(keys[3]),
-        subset=np.random.default_rng(keys[4]),
-        sensing=np.random.default_rng(keys[5]),
-        # made directly, without spawning a key per user
-        attack={(i, kind): np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2, i, j)))
+        channel=_Stream(seed, (0,)),
+        pads=_Stream(seed, (1,)),
+        ties=_Stream(seed, (3,)),
+        subset=_Stream(seed, (4,)),
+        sensing=_Stream(seed, (5,)),
+        attack={(i, kind): _Stream(seed, (2, i, j))
                 for i, u in enumerate(users) for j, kind in enumerate(ATTACK_DRAWS.get(u.role, ()))},
     )
 
@@ -306,7 +337,8 @@ def _run_rounds(
     roles = np.array([u.role for u in sc.users])
     honest = np.flatnonzero(roles == "honest")
     history = roles == "history"
-    own = np.flatnonzero((roles == "honest") | history)
+    own_mask = (roles == "honest") | history
+    own = np.flatnonzero(own_mask)
     pes = np.flatnonzero(roles == "pes")
     target = _designated_recipient(sc)
     truth = spectrum.sample_states(model, streams.channel, previous=state.truth, slots=rounds)
@@ -314,25 +346,38 @@ def _run_rounds(
     # sensing: every role draws a full vector (keeps the draw the same
     # across role reassignments); pes reads only its prefix
     sensed = spectrum.sense(truth, profiles, streams.sensing)  # (T, N, M)
-    # each slot's previous sensing, which history users replay on odd rounds
-    # (round 0 replays nothing)
-    first = sensed[0] if state.sensed is None else state.sensed
-    stale = np.concatenate([first[None], sensed[:-1]])
     replay = (state.round_index + np.arange(rounds)) % 2 == 1
 
-    # phase 1: users with a report of their own publish it
-    reports = np.zeros((rounds, n, m), dtype=np.uint8)
-    reports[:, own] = np.where((replay[:, None] & history[own])[..., None], stale[:, own], sensed[:, own])
-    ciphertexts = reports.copy()
-    pads = np.zeros_like(reports) if sc.encrypted else None
+    # phase 1: users with a report of their own publish it; phase 2 fills
+    # the other rows
+    reports = sensed.copy()
+    if own.size < n:
+        reports[:, ~own_mask] = 0
+    if history.any():
+        # each slot's previous sensing, which history users replay on odd
+        # rounds (round 0 replays nothing)
+        first = sensed[0] if state.sensed is None else state.sensed
+        stale = np.concatenate([first[None], sensed[:-1]])
+        replayed = replay[:, None] & history
+        reports[replayed] = stale[replayed]
     # recovery is only scorable against senders whose pad is well defined
     # (a forwarded copy of unknown provenance has none)
     pad_known = np.zeros((rounds, n), dtype=bool)
     publishers = np.concatenate([own, pes])
     pad_known[:, publishers] = True
     if sc.encrypted:
-        pads[:, publishers] = subset.draw(streams.pads, (rounds, publishers.size))
-        ciphertexts[:, own] ^= pads[:, own]
+        drawn = subset.draw(streams.pads, (rounds, publishers.size))
+        if np.array_equal(publishers, np.arange(n)):
+            # drawn pads are laid out channel-major; every later step reads
+            # them in (round, user) rows
+            pads = np.ascontiguousarray(drawn)
+        else:  # ees users publish no pad, and pes users publish after the own ones
+            pads = np.zeros_like(reports)
+            pads[:, publishers] = drawn
+        # final on the own rows only: phase 2 writes every ees and pes row
+        ciphertexts = reports ^ pads
+    else:
+        pads, ciphertexts = None, reports.copy()
 
     # phase 2: copiers publish (ees forwards a copy, pes fills its gaps by
     # cracking), and every attacker measures its attack on the designated
@@ -399,9 +444,12 @@ def _run_rounds(
     if sc.encrypted:
         mesh = _mesh_by_blocks if subset.base_pad is not None else _mesh_by_rows
         hits, counts = mesh(subset, honest, reports, ciphertexts, pads, streams.ties)
-        recovery = np.full((rounds, n, n), np.nan)
-        recovery[:, honest] = np.where((honest[:, None] != np.arange(n)) & pad_known[:, None],
-                                       hits, np.nan)
+        scored = np.where((honest[:, None] != np.arange(n)) & pad_known[:, None], hits, np.nan)
+        if honest.size == n:
+            recovery = scored
+        else:
+            recovery = np.full((rounds, n, n), np.nan)
+            recovery[:, honest] = scored
     else:
         # every receiver reads the same round of reports
         counts = ciphertexts.sum(axis=1, dtype=np.min_scalar_type(n))[:, None]
@@ -411,7 +459,7 @@ def _run_rounds(
     reports_each = n - 1 + int(sc.include_self)
     rule = (fusion.FusionRule.majority(reports_each) if sc.fusion_threshold is None
             else fusion.FusionRule(sc.fusion_threshold, reports_each))
-    decisions = (counts >= rule.threshold).astype(np.uint8)
+    decisions = (counts >= rule.threshold).view(np.uint8)
 
     state.truth = truth[-1].copy()
     state.sensed = sensed[-1].copy()
@@ -470,7 +518,13 @@ def _mesh_by_blocks(subset, honest, reports, ciphertexts, pads, ties):
     1 - 2(x ^ y) = (2x - 1)(2y - 1), so the block margins of every pair's
     target X ^ C are one product of zero-padded sign blocks, (T, B, H, w) @
     (T, B, w, N).  `protocol._block_digits`, the vote's own digit and tie
-    rule, turns them into digits in (round, receiver, sender) order.  Pair
+    rule, turns them into digits in (round, receiver, sender) order: a
+    (T, H, N, B) view of a block-major (T, B, H, N) buffer.  A pair's pad is
+    recovered when every block's digit matches the sent pad's, and that
+    test reduces over blocks along whichever axis is longer: in the
+    buffer's own order when the (receiver, sender) pairs outnumber the
+    blocks, as in a large population, and along the strided block axis
+    when blocks outnumber pairs, as in a few users on narrow blocks.  Pair
     (h, s) decrypts channel m to Y_s[m] ^ f, where f is the flip digit of
     m's block (1 where the recovered block is the base block's complement),
     and Y ^ f = 1/2 + (1/2 - f)(2Y - 1): so receiver h's busy count is N/2
@@ -485,7 +539,11 @@ def _mesh_by_blocks(subset, honest, reports, ciphertexts, pads, ties):
     y = protocol._signed_blocks(ciphertexts ^ subset.base_pad, subset, dtype).transpose(0, 2, 1, 3)
     margins = x @ y.swapaxes(-1, -2)  # (T, B, H, N)
     digits = protocol._block_digits(margins.transpose(0, 2, 3, 1), subset, ties)  # (T, H, N, B)
-    hits = (digits == subset.member_keys(pads)[:, None]).all(axis=-1)
+    keys = subset.member_keys(pads)  # (T, N, B)
+    if honest.size * n > subset.num_blocks:
+        hits = (digits.transpose(0, 3, 1, 2) == keys.transpose(0, 2, 1)[:, :, None]).all(axis=1)
+    else:
+        hits = (digits == keys[:, None]).all(axis=-1)
 
     # pair (h, s) decrypts channel m to Y_s ^ f = 1/2 + (1/2 - f)(2Y_s - 1)
     flips = (digits ^ subset.base_pad[::subset.block_length]).transpose(0, 3, 1, 2)
@@ -559,12 +617,12 @@ def run_simulation(sc: Scenario) -> SimulationSummary:
         scored = fusion.score(out.decisions[:, 0], out.truth)  # the target is the first honest user
         metrics = scored if metrics is None else metrics + scored
         if out.recovery_success is not None:
-            known = ~np.isnan(out.recovery_success)
-            rec_ok += int(out.recovery_success[known].sum())
-            rec_all += int(known.sum())
-            col, col_known = out.recovery_success[:, :, target], known[:, :, target]
-            tgt_ok += int(col[col_known].sum())
-            tgt_all += int(col_known.sum())
+            # a NaN (no scorable pad) is neither 1 nor >= 0
+            rec, col = out.recovery_success, out.recovery_success[:, :, target]
+            rec_ok += int(np.count_nonzero(rec == 1))
+            rec_all += int(np.count_nonzero(rec >= 0))
+            tgt_ok += int(np.count_nonzero(col == 1))
+            tgt_all += int(np.count_nonzero(col >= 0))
         guesses = []  # (truth, ees guess) cells, as 2 * truth + guess
         for i, a in out.attacks.items():
             attack_all[i] = attack_all.get(i, 0) + a.hits.size

@@ -171,24 +171,38 @@ def sense(
     Given a sequence of N users' profiles in place of one, every user senses
     the same truth: the result is (N, M) for a state vector and (slots, N, M)
     for a stack, drawn in (slot, user, channel) order, so a stack is again
-    sensed from the same random numbers as one call per slot.
+    sensed from the same random numbers as one call per slot.  When every
+    entry is one shared profile object its rows serve every user as they
+    are; otherwise the profiles are stacked into (N, M) tables.
+
+    Each uniform u is compared with both rates, and a busy channel keeps
+    the miss test: errors are u < false_alarm, then u < miss where busy,
+    with no float table of per-cell rates.
     """
     states = np.asarray(states, dtype=np.uint8)
+    users = ()
     if isinstance(profile, DetectorProfile):
         miss, false_alarm = profile.miss, profile.false_alarm
+    elif profile and all(p is profile[0] for p in profile):
+        miss, false_alarm, users = profile[0].miss, profile[0].false_alarm, (len(profile),)
     else:
         channels = {p.num_channels for p in profile}
         if len(channels) != 1:
             raise ValueError(f"sense needs profiles of one channel count, got {sorted(channels)}")
         miss = np.array([p.miss for p in profile])
         false_alarm = np.array([p.false_alarm for p in profile])
+        users = (len(profile),)
     width = miss.shape[-1]
     if states.ndim not in (1, 2) or states.shape[-1] != width:
         raise ValueError(f"states has shape {states.shape}, profile has {width} channels")
     if states.max(initial=0) > 1:
         raise ValueError("state entries must be 0 or 1")
-    if miss.ndim == 2:  # one (user, channel) table: sense every user
+    u = rng.random((*states.shape[:-1], *users, width))
+    if users:  # every user senses the same truth
         states = states[..., None, :]
-    flip = np.where(states == 1, miss, false_alarm)
-    errors = rng.random(flip.shape) < flip
+    errors = u < false_alarm
+    missed = u < miss
+    missed ^= errors
+    missed &= states.view(bool)
+    errors ^= missed  # u < miss where busy
     return np.bitwise_xor(states, errors.view(np.uint8))

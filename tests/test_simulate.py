@@ -3,13 +3,14 @@
 import concurrent.futures
 import copy
 import dataclasses
+import json
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from otpsense import adversary, fusion, leakage, protocol, simulate, spectrum
 from otpsense.fusion import FusionRule, fuse
@@ -122,6 +123,31 @@ def test_equal_user_specs_share_one_read_only_profile():
         for rates in (p.false_alarm, p.miss):
             with pytest.raises(ValueError):
                 rates[0] = 0.5
+
+
+def test_equal_specs_share_one_profile_across_scenarios():
+    noisy = UserSpec(false_alarm=0.2)
+    one = small_scenario(users=(UserSpec(), noisy, UserSpec()))
+    other = small_scenario(users=(UserSpec(false_alarm=0.2), UserSpec()), seed=3, rounds=2)
+    first, second = detector_profiles(one), detector_profiles(other)
+    assert first[1] is second[0] and first[0] is second[1]
+    wider = detector_profiles(small_scenario(users=(noisy,) * 2, num_channels=13))
+    assert wider[0] is not first[1] and wider[0].num_channels == 13
+
+
+def test_list_tuple_and_array_rates_run_alike():
+    rates = [0.1, 0.2, 0.1, 0.1]
+    summaries, configs = [], []
+    for given_rates in (rates, tuple(rates), np.array(rates)):
+        spec = UserSpec(false_alarm=given_rates, miss=given_rates)
+        assert spec.false_alarm == spec.miss == tuple(rates)
+        sc = Scenario(users=(spec,) * 3, num_channels=4, rounds=20, seed=5)
+        summaries.append(run_simulation(sc))
+        configs.append(json.dumps(scenario_to_dict(sc)))
+    assert same(summaries[0], summaries[1]) and same(summaries[0], summaries[2])
+    assert configs[0] == configs[1] == configs[2]
+    with pytest.raises(ValueError, match="false_alarm"):
+        UserSpec(false_alarm=[[0.1, 0.2]])
 
 
 # ---- round engine -------------------------------------------------------
@@ -872,6 +898,46 @@ def test_spawned_streams_do_not_depend_on_the_population_size():
         assert five.sensing.bit_generator.state == np.random.default_rng(keys[5]).bit_generator.state
 
 
+def test_tie_and_flip_streams_are_their_spawned_children():
+    for seed in (0, 7, 2 ** 40):
+        streams = _spawn_streams(seed, (HONEST, UserSpec(role="ees")))
+        keys = np.random.SeedSequence(seed).spawn(6)
+        ties = np.random.default_rng(keys[3])
+        assert streams.ties.bit_generator.state == ties.bit_generator.state
+        # key 2's child 1 (the ees user), then its child 1 (flips)
+        flips = np.random.default_rng(keys[2].spawn(2)[1].spawn(3)[1])
+        assert flips.bit_generator.state == np.random.default_rng(
+            np.random.SeedSequence(seed, spawn_key=(2, 1, 1))).bit_generator.state
+        assert streams.attack[1, "flips"].bit_generator.state == flips.bit_generator.state
+
+
+def made_streams(monkeypatch, sc):
+    """The spawn keys of every generator a run makes, in order."""
+    made, default_rng = [], np.random.default_rng
+
+    def recording(seed=None):
+        made.append(seed.spawn_key)
+        return default_rng(seed)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.random, "default_rng", recording)
+        run_simulation(sc)
+    return made
+
+
+def test_a_run_makes_only_the_streams_it_draws_from(monkeypatch):
+    # odd widths never tie, so the honest-only run makes no tie stream
+    honest = Scenario(num_channels=23, users=(HONEST,) * 4, pairs=None, phi=5, rounds=9, seed=3)
+    assert sorted(made_streams(monkeypatch, honest)) == [(0,), (1,), (4,), (5,)]
+    # an ees user that copies verbatim never draws bit flips
+    ees = (UserSpec(role="ees"),)
+    verbatim = dataclasses.replace(honest, users=(HONEST,) * 4 + ees)
+    assert sorted(made_streams(monkeypatch, verbatim)) == [
+        (0,), (1,), (2, 4, 0), (2, 4, 2), (4,), (5,)]
+    flipping = dataclasses.replace(verbatim, ees_modification=0.25)
+    assert (2, 4, 1) in made_streams(monkeypatch, flipping)
+
+
 def recorded_sensing(monkeypatch, sc):
     """Every `spectrum.sense` result of a run, in call order."""
     calls, sense = [], spectrum.sense
@@ -923,6 +989,15 @@ def test_sensing_is_one_call_per_chunk_for_the_whole_population(monkeypatch):
     copy_previous=st.booleans(),
     seed=st.integers(0, 2 ** 32 - 1),
 )
+# far more (receiver, sender) pairs than blocks, as in the mesh benchmark;
+# far more blocks than pairs; even blocks that tie, with a shorter last block
+@example(m=99, phi=11, omega=1.0, honest_users=20, others=[], include_self=True, threshold=0,
+         rounds=10, rounds_per_chunk=3, copy_previous=False, seed=1)
+@example(m=100, phi=1, omega=1.0, honest_users=5, others=[], include_self=True, threshold=0,
+         rounds=6, rounds_per_chunk=2, copy_previous=False, seed=2)
+@example(m=22, phi=4, omega=1.0, honest_users=4, others=["ees", "pes", "history"],
+         include_self=False, threshold=0, rounds=6, rounds_per_chunk=3, copy_previous=False,
+         seed=3)
 def test_block_mesh_matches_recover_pads_and_fuse_on_flattened_pairs(
         m, phi, omega, honest_users, others, include_self, threshold, rounds, rounds_per_chunk,
         copy_previous, seed):

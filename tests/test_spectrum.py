@@ -1,5 +1,7 @@
 """Channel model and detector statistics against closed forms."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,36 @@ def test_population_sense_of_a_stack_matches_one_call_per_slot():
     for i, p in enumerate(profiles):
         flip = np.where(states == 1, p.miss, p.false_alarm)
         assert np.array_equal(stacked[:, i], states ^ (u[:, i] < flip)), i
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_sense_draws_the_bits_of_the_float_rate_table(stacked):
+    # per-channel rates with exact 0s and 1s; the population form on
+    # distinct and on shared profiles, and the one-profile form
+    rng = np.random.default_rng(12)
+    m, n = 24, 5
+
+    def rates():
+        r = rng.random(m)
+        r[rng.random(m) < 0.2] = 0.0
+        r[rng.random(m) < 0.2] = 1.0
+        return r
+
+    profiles = [DetectorProfile(rates(), rates()) for _ in range(n)]
+    states = (rng.random((9, m) if stacked else m) < 0.5).astype(np.uint8)
+    for profile in (profiles, [profiles[0]] * n, *profiles):
+        draws = np.random.default_rng(40)
+        clone = copy.deepcopy(draws)
+        got = sense(states, profile, draws)
+        if isinstance(profile, DetectorProfile):
+            truth, miss, false_alarm = states, profile.miss, profile.false_alarm
+        else:
+            truth = states[..., None, :]
+            miss = np.array([p.miss for p in profile])
+            false_alarm = np.array([p.false_alarm for p in profile])
+        u = clone.random(got.shape)
+        assert np.array_equal(got, truth ^ (u < np.where(truth == 1, miss, false_alarm)))
+        assert draws.bit_generator.state == clone.bit_generator.state
 
 
 def test_population_sense_rejects_bad_input_before_drawing():
