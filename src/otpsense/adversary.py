@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bits import as_bits
 from .protocol import PadSubset, recover_pads
 # a module attribute that perfbench/tracing.py wraps by name
 from .protocol import recover_pad  # noqa: F401
@@ -56,20 +57,10 @@ class AttackOutcome:
     channels_sensed: int
 
 
-def _bit_rows(values, length: int, name: str) -> np.ndarray:
-    """A (length,) bit vector or a (T, length) stack of them, as uint8."""
-    a = np.asarray(values, dtype=np.uint8)
-    if a.ndim not in (1, 2) or a.shape[-1] != length:
-        raise ValueError(f"{name} must be ({length},) or (T, {length}), got {a.shape}")
-    if a.max(initial=0) > 1:
-        raise ValueError(f"{name} entries must be 0 or 1")
-    return a
-
-
 def _outcome(ciphertext, pad, sensed: int, true_pad) -> AttackOutcome:
     recovered = None
     if true_pad is not None:
-        hit = (pad == _bit_rows(true_pad, pad.shape[-1], "true_pad")).all(axis=-1)
+        hit = (pad == as_bits(true_pad, pad.shape[-1], (1, 2), "true_pad")).all(axis=-1)
         recovered = bool(hit) if hit.ndim == 0 else hit
     return AttackOutcome(np.bitwise_xor(ciphertext, pad), pad, recovered, sensed)
 
@@ -95,15 +86,14 @@ def ees_act(
     forges one (T, M) row per round.  The picks come from `rng` and the
     flips from `flips_rng` (by default `rng`); on two generators a stack
     takes the same random numbers as T one-round calls.  Call once per
-    recipient to forward possibly different copies.
+    recipient to forward possibly different copies.  Rows of unequal
+    length, or entries other than 0 and 1, raise ValueError (`as_bits`).
     """
-    if len(observed) == 0:
-        raise ValueError("nothing observed to copy")
     if not 0 <= modification <= 1:
         raise ValueError(f"modification must lie in [0, 1], got {modification}")
-    rows = np.asarray(observed, dtype=np.uint8)  # rows of unequal length raise here
-    if rows.ndim not in (2, 3) or rows.shape[-2] == 0 or rows.max() > 1:
-        raise ValueError("observed ciphertexts must be bit vectors of one length")
+    rows = as_bits(observed, None, (2, 3), "observed ciphertexts")
+    if rows.shape[-2] == 0:
+        raise ValueError("nothing observed to copy")
     picks = rng.integers(rows.shape[-2], size=rows.shape[:-2])
     copy = rows[np.arange(rows.shape[0]), picks] if rows.ndim == 3 else rows[picks].copy()
     if modification > 0:
@@ -121,7 +111,7 @@ def ees_decode_attempt(
     """Reportless decode of one ciphertext or a (T, M) stack: with no
     sensing there is no vote signal, so the best available pad is a uniform
     draw.  Succeeds with probability 1/subset.size per ciphertext."""
-    ciphertext = _bit_rows(ciphertext, subset.length, "ciphertext")
+    ciphertext = as_bits(ciphertext, subset.length, (1, 2), "ciphertext")
     pad = subset.draw(rng, ciphertext.shape[:-1])
     return _outcome(ciphertext, pad, 0, true_pad)
 
@@ -151,8 +141,8 @@ def pes_act(
     among its alternatives, so with b uncovered blocks the full-pad success
     rate is bounded by 2**-b times the covered blocks' vote success.
     """
-    ciphertext = _bit_rows(ciphertext, subset.length, "ciphertext")
-    partial_report = _bit_rows(partial_report, subset.length, "partial_report")
+    ciphertext = as_bits(ciphertext, subset.length, (1, 2), "ciphertext")
+    partial_report = as_bits(partial_report, subset.length, (1, 2), "partial_report")
     if partial_report.shape != ciphertext.shape:
         raise ValueError("ciphertext and partial_report must have one shape")
     sensed = np.unique(np.asarray(sensed_channels, dtype=np.int64))
@@ -174,8 +164,8 @@ def history_act(
     """Free-ride on last round's sensing: run the ordinary vote recovery
     with the outdated report, or a (T, M) stack of them, as if it were
     current."""
-    ciphertext = _bit_rows(ciphertext, subset.length, "ciphertext")
-    stale_report = _bit_rows(stale_report, subset.length, "stale_report")
+    ciphertext = as_bits(ciphertext, subset.length, (1, 2), "ciphertext")
+    stale_report = as_bits(stale_report, subset.length, (1, 2), "stale_report")
     if stale_report.shape != ciphertext.shape:
         raise ValueError("stale_report and ciphertext must have one shape")
     pad = _recover(stale_report, ciphertext, subset, rng)

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bits import as_bits
+
 
 @dataclass(frozen=True)
 class FusionRule:
@@ -30,12 +32,11 @@ def fuse(reports, rule: FusionRule) -> np.ndarray:
     """Combine reports (shape (n, M), one row per user) into one decision
     vector, or each (n, M) stack of an (..., n, M) array into one row of
     (..., M).  Row order cannot matter: only the per-channel busy count
-    along the report axis does."""
-    reports = np.atleast_2d(np.asarray(reports, dtype=np.uint8))
+    along the report axis does.  Entries other than 0 and 1 raise
+    ValueError (`bits.as_bits`)."""
+    reports = as_bits(np.atleast_2d(reports), ndims=None, name="reports")
     if reports.shape[-2] != rule.num_reports:
         raise ValueError(f"rule expects {rule.num_reports} reports, got {reports.shape[-2]}")
-    if reports.max(initial=0) > 1:
-        raise ValueError("report entries must be 0 or 1")
     # the narrowest count type that holds num_reports
     counts = reports.sum(axis=-2, dtype=np.min_scalar_type(rule.num_reports))
     return (counts >= rule.threshold).astype(np.uint8)
@@ -84,18 +85,20 @@ class SensingMetrics:
 def score(decisions, truths) -> SensingMetrics:
     """Tally fused decisions against true states.
 
-    Accepts single vectors or stacked (slots, M) arrays; both inputs must
-    share one shape and be non-empty.
+    Accepts single vectors or stacked (slots, M) arrays of 0/1 entries
+    (`bits.as_bits`); both inputs must share one shape and be non-empty.
     """
-    decisions = np.atleast_2d(np.asarray(decisions, dtype=np.uint8))
-    truths = np.atleast_2d(np.asarray(truths, dtype=np.uint8))
+    decisions = np.atleast_2d(as_bits(decisions, ndims=(1, 2), name="decisions"))
+    truths = np.atleast_2d(as_bits(truths, ndims=(1, 2), name="truths"))
     if decisions.shape != truths.shape or decisions.size == 0:
         raise ValueError(f"shape mismatch or empty: {decisions.shape} vs {truths.shape}")
-    idle = truths == 0
-    busy = truths == 1
+    # checked bits read as bools: a wrong decision on a busy slot is a miss
+    busy = truths.view(bool)
+    wrong = busy ^ decisions.view(bool)
+    misses, busy_slots = (wrong & busy).sum(axis=0), busy.sum(axis=0)
     return SensingMetrics(
-        false_alarms=(idle & (decisions == 1)).sum(axis=0),
-        idle_slots=idle.sum(axis=0),
-        misses=(busy & (decisions == 0)).sum(axis=0),
-        busy_slots=busy.sum(axis=0),
+        false_alarms=wrong.sum(axis=0) - misses,
+        idle_slots=len(truths) - busy_slots,
+        misses=misses,
+        busy_slots=busy_slots,
     )

@@ -117,11 +117,9 @@ class PadSubset:
     base_pad: np.ndarray | None
 
     def __init__(self, pads, block_length: int | None = None, num_blocks: int | None = None):
-        pads = np.atleast_2d(np.asarray(pads, dtype=np.uint8))
-        if pads.ndim != 2 or pads.shape[0] < 1 or pads.shape[1] < 1:
+        pads = as_bits(np.atleast_2d(pads), ndims=(2,), name="pads")
+        if pads.shape[0] < 1 or pads.shape[1] < 1:
             raise ValueError(f"pads must be a non-empty 2-D bit array, got shape {pads.shape}")
-        if pads.max(initial=0) > 1:
-            raise ValueError("pad entries must be 0 or 1")
         if block_length is None:
             block_length = pads.shape[1]
         if not 1 <= block_length <= pads.shape[1]:
@@ -245,9 +243,7 @@ def generate_subset(
     if base_pad is None:
         base_pad = random_bits(length, rng)
     else:
-        base_pad = as_bits(base_pad).copy()
-        if base_pad.size != length:
-            raise ValueError(f"base_pad must have length {length}, got {base_pad.size}")
+        base_pad = as_bits(base_pad, length, name="base_pad").copy()
     return PadSubset._described(base_pad, block_length)
 
 
@@ -330,13 +326,10 @@ def encrypt_report(
 
     Returns:
         (ciphertext, pad): uint8 arrays of the report's shape; ciphertext
-        is report xor pad.
+        is report xor pad.  A report not (M,) or (K, M) bits raises
+        ValueError (`bits.as_bits`).
     """
-    report = np.asarray(report, dtype=np.uint8)
-    if report.ndim not in (1, 2) or report.shape[-1] != subset.length:
-        raise ValueError(f"report must be ({subset.length},) or (K, {subset.length}), got {report.shape}")
-    if report.max(initial=0) > 1:
-        raise ValueError("report entries must be 0 or 1")
+    report = as_bits(report, subset.length, (1, 2), "report")
     pad = subset.draw(rng, report.shape[:-1])
     return report ^ pad, pad
 
@@ -470,17 +463,13 @@ def recover_pads(
             default.
 
     Returns:
-        (K, M) array of winning pads (a new array).
+        (K, M) array of winning pads (a new array).  Reports and
+        ciphertexts not (K, M) bits of one shape raise ValueError.
     """
-    own = np.asarray(own_reports, dtype=np.uint8)
-    cipher = np.asarray(ciphertexts, dtype=np.uint8)
-    if own.ndim != 2 or own.shape != cipher.shape or own.shape[1] != subset.length:
-        raise ValueError(
-            f"own_reports {own.shape} and ciphertexts {cipher.shape} must both have "
-            f"shape (K, {subset.length})"
-        )
-    if np.bitwise_or(own, cipher).max(initial=0) > 1:
-        raise ValueError("report and ciphertext entries must be 0 or 1")
+    own = as_bits(own_reports, subset.length, (2,), "own_reports")
+    cipher = as_bits(ciphertexts, subset.length, (2,), "ciphertexts")
+    if own.shape != cipher.shape:
+        raise ValueError(f"own_reports {own.shape} and ciphertexts {cipher.shape} differ in shape")
     targets = np.bitwise_xor(own, cipher).view(bool)
     weights = subset._unit_weights if weights is None else _vote_weights(subset, weights)
     if subset.base_pad is not None:
@@ -511,12 +500,13 @@ def recover_pad(
     rng: np.random.Generator,
     weights: np.ndarray | None = None,
 ) -> np.ndarray:
-    """`recover_pads` for a single (own_report, ciphertext) pair.
+    """`recover_pads` for a single (own_report, ciphertext) pair of (M,)
+    bit vectors, checked there as one-row stacks.
 
     Returns:
         The winning pad (copy, length M).
     """
-    own, cipher = as_bits(own_report)[None], as_bits(ciphertext)[None]
+    own, cipher = np.asarray(own_report)[None], np.asarray(ciphertext)[None]
     return recover_pads(own, cipher, subset, rng, weights)[0]
 
 

@@ -50,15 +50,27 @@ ROLES = ("honest", "ees", "pes", "history")
 SWEEPABLE = ("channels", "pairs", "phi", "selfish", "rounds", "slot_period")
 
 
+def _plain_rates(rates, name: str):
+    """A rate argument as a spec stores it: a numpy scalar or 0-d array
+    becomes a float and a list or array a tuple of floats, so specs stay
+    hashable and JSON-ready; tuples and Python numbers are kept as given."""
+    if isinstance(rates, (np.ndarray, np.generic)) or (
+            not isinstance(rates, tuple) and np.ndim(rates) > 0):
+        a = np.asarray(rates, dtype=float)
+        if a.ndim > 1:
+            raise ValueError(f"{name} must be a number or a sequence of numbers")
+        return float(a) if a.ndim == 0 else tuple(a.tolist())
+    return rates
+
+
 @dataclass(frozen=True)
 class UserSpec:
     """One participant: role plus detector quality.
 
     false_alarm/miss are scalars (applied to every channel) or per-channel
-    tuples; a list or array of rates is stored as a tuple of floats, so
-    every spec is hashable.  sensed_channels is read only for the "pes"
-    role: the attacker honestly senses that many channels from the start
-    of the band.
+    tuples, stored as `_plain_rates` gives them, so every spec is hashable.
+    sensed_channels is read only for the "pes" role: the attacker honestly
+    senses that many channels from the start of the band.
     """
 
     role: str = "honest"
@@ -72,12 +84,7 @@ class UserSpec:
         if self.sensed_channels < 0:
             raise ValueError("sensed_channels must be >= 0")
         for name in ("false_alarm", "miss"):
-            rates = getattr(self, name)
-            if not isinstance(rates, tuple) and np.ndim(rates) > 0:
-                rates = np.asarray(rates, dtype=float)
-                if rates.ndim != 1:
-                    raise ValueError(f"{name} must be a number or a sequence of numbers")
-                object.__setattr__(self, name, tuple(rates.tolist()))
+            object.__setattr__(self, name, _plain_rates(getattr(self, name), name))
 
 
 @dataclass(frozen=True)
@@ -88,7 +95,8 @@ class Scenario:
     predicted agreement probability, scaled by omega) > phi (explicit block
     length, scaled by omega) > pairs (that many independent complement
     pairs; one pair is one block).  encrypted=False bypasses pads entirely
-    and shares raw reports (the plaintext baseline).
+    and shares raw reports (the plaintext baseline).  rate_on/rate_off are
+    stored as `_plain_rates` gives them.
     """
 
     num_channels: int = 100
@@ -112,6 +120,8 @@ class Scenario:
     def __post_init__(self):
         if isinstance(self.users, list):
             object.__setattr__(self, "users", tuple(self.users))
+        for name in ("rate_on", "rate_off"):
+            object.__setattr__(self, name, _plain_rates(getattr(self, name), name))
         if not self.users:
             raise ValueError("scenario needs at least one user")
         if not any(u.role == "honest" for u in self.users):
@@ -681,11 +691,7 @@ def apply_sweep(sc: Scenario, assignment: dict) -> Scenario:
                 raise ValueError('sweeping "selfish" needs an all-honest base population')
             users = list(out.users)
             for i in range(len(users) - value, len(users)):
-                users[i] = replace(
-                    users[i],
-                    role=out.selfish_role,
-                    sensed_channels=users[i].sensed_channels,
-                )
+                users[i] = replace(users[i], role=out.selfish_role)
             out = replace(out, users=tuple(users))
         else:
             raise ValueError(f"unknown sweep parameter {name!r}, expected one of {SWEEPABLE}")

@@ -101,16 +101,15 @@ def sample_states(
     transition kernel of the ON/OFF chain is applied, so consecutive slots
     are correlated (the history attack depends on this).  A chain applies
     the kernel slot after slot, from the same random numbers as `slots`
-    single-slot calls that each pass the slot before.
+    single-slot calls that each pass the slot before.  `previous` must be
+    a (num_channels,) bit vector (`bits.as_bits`).
 
     Returns:
         uint8 vector of shape (num_channels,), or (slots, num_channels)
         when `slots` is given; 1 = busy.
     """
     if previous is not None:
-        previous = as_bits(previous)
-        if previous.size != model.num_channels:
-            raise ValueError(f"previous has {previous.size} channels, model has {model.num_channels}")
+        previous = as_bits(previous, model.num_channels, name="previous")
     if slots is not None and slots < 1:
         raise ValueError(f"slots must be >= 1, got {slots}")
     p1 = stationary_occupancy(model)
@@ -177,9 +176,9 @@ def sense(
 
     Each uniform u is compared with both rates, and a busy channel keeps
     the miss test: errors are u < false_alarm, then u < miss where busy,
-    with no float table of per-cell rates.
+    with no float table of per-cell rates.  States that are not (M,) or
+    (slots, M) bits raise ValueError (`bits.as_bits`) before any draw.
     """
-    states = np.asarray(states, dtype=np.uint8)
     users = ()
     if isinstance(profile, DetectorProfile):
         miss, false_alarm = profile.miss, profile.false_alarm
@@ -193,10 +192,7 @@ def sense(
         false_alarm = np.array([p.false_alarm for p in profile])
         users = (len(profile),)
     width = miss.shape[-1]
-    if states.ndim not in (1, 2) or states.shape[-1] != width:
-        raise ValueError(f"states has shape {states.shape}, profile has {width} channels")
-    if states.max(initial=0) > 1:
-        raise ValueError("state entries must be 0 or 1")
+    states = as_bits(states, width, (1, 2), "states")
     u = rng.random((*states.shape[:-1], *users, width))
     if users:  # every user senses the same truth
         states = states[..., None, :]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import otpsense as ots
 from otpsense import bits
 
 
@@ -51,3 +52,68 @@ def test_random_bits_deterministic():
     assert a.shape == (64,) and a.dtype == np.uint8 and set(a.tolist()) == {0, 1}
     with pytest.raises(ValueError):
         bits.random_bits(0, np.random.default_rng(5))
+
+
+def test_as_bits_returns_a_uint8_array_itself_and_casts_the_rest():
+    a = np.array([[1, 0, 1], [0, 0, 1]], dtype=np.uint8)
+    assert bits.as_bits(a, 3, (2,)) is a
+    view = a[:, 1:]
+    assert bits.as_bits(view, ndims=None) is view  # a strided view, uncopied too
+    for given in ([True, False, True], np.array([1.0, -0.0, 1.0]), (1, 0, 1)):
+        got = bits.as_bits(given)
+        assert got.dtype == np.uint8 and got.tolist() == [1, 0, 1]
+    with pytest.raises(ValueError, match="ciphertext"):
+        bits.as_bits(a, 4, (1, 2), "ciphertext")
+    with pytest.raises(ValueError):
+        bits.as_bits([[0, 1], [1]], ndims=None)  # rows of unequal length
+
+
+def _bit_takers():
+    """Every public function that takes bits, each fed `v` in one bit argument."""
+    rng = np.random.default_rng(0)
+    sub = ots.generate_subset(4, 2, rng)
+    z = np.zeros(4, dtype=np.uint8)
+    model = ots.ChannelModel(4, 1.0, 1.0)
+    profile = ots.DetectorProfile.homogeneous(4, 0.1, 0.1)
+    return {
+        "as_bits": lambda v: bits.as_bits(v),
+        "xor a": lambda v: bits.xor(v, z),
+        "xor b": lambda v: bits.xor(z, v),
+        "encrypt_report": lambda v: ots.encrypt_report(v, sub, rng),
+        "recover_pads own": lambda v: ots.recover_pads([v], [z], sub, rng),
+        "recover_pads cipher": lambda v: ots.recover_pads([z], [v], sub, rng),
+        "recover_pad own": lambda v: ots.recover_pad(v, z, sub, rng),
+        "recover_pad cipher": lambda v: ots.recover_pad(z, v, sub, rng),
+        "PadSubset": lambda v: ots.PadSubset([v]),
+        "generate_subset": lambda v: ots.generate_subset(4, 2, rng, base_pad=v),
+        "sample_states": lambda v: ots.sample_states(model, rng, previous=v),
+        "sense": lambda v: ots.sense(v, profile, rng),
+        "fuse": lambda v: ots.fuse([v, z, z], ots.FusionRule.majority(3)),
+        "score decisions": lambda v: ots.score(v, z),
+        "score truths": lambda v: ots.score(z, v),
+        "ees_act": lambda v: ots.ees_act([z, v], rng),
+        "ees_decode_attempt": lambda v: ots.ees_decode_attempt(v, sub, rng),
+        "ees_decode_attempt true_pad": lambda v: ots.ees_decode_attempt(z, sub, rng, true_pad=v),
+        "pes_act report": lambda v: ots.pes_act([0], v, z, sub, rng),
+        "pes_act cipher": lambda v: ots.pes_act([0], z, v, sub, rng),
+        "history_act report": lambda v: ots.history_act(v, z, sub, rng),
+        "history_act cipher": lambda v: ots.history_act(z, v, sub, rng),
+    }
+
+
+NOT_BITS = {
+    "256": np.array([256, 1, 0, 1]),  # wraps to 0 under a uint8 cast
+    "0.5": np.array([0.5, 1, 0, 1]),  # truncates to 0
+    "2": [2, 1, 0, 1],
+    "-1": [-1, 1, 0, 1],  # overflows a uint8 cast
+    "nan": [np.nan, 1, 0, 1],
+}
+
+
+@pytest.mark.parametrize("bad", NOT_BITS, ids=str)
+@pytest.mark.parametrize("taker", _bit_takers(), ids=str)
+def test_every_bit_taker_refuses_entries_other_than_0_and_1(taker, bad):
+    take = _bit_takers()[taker]
+    take(np.array([1, 1, 0, 1], dtype=np.uint8))  # the same call on bits runs
+    with pytest.raises(ValueError, match="0 or 1"):
+        take(NOT_BITS[bad])

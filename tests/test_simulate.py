@@ -137,15 +137,25 @@ def test_equal_specs_share_one_profile_across_scenarios():
 
 def test_list_tuple_and_array_rates_run_alike():
     rates = [0.1, 0.2, 0.1, 0.1]
+    rate_on = [50.0, 40.0, 50.0, 60.0]
     summaries, configs = [], []
-    for given_rates in (rates, tuple(rates), np.array(rates)):
-        spec = UserSpec(false_alarm=given_rates, miss=given_rates)
+    for kind in (list, tuple, np.array):
+        spec = UserSpec(false_alarm=kind(rates), miss=kind(rates))
         assert spec.false_alarm == spec.miss == tuple(rates)
-        sc = Scenario(users=(spec,) * 3, num_channels=4, rounds=20, seed=5)
+        sc = Scenario(users=(spec,) * 3, rate_on=kind(rate_on), num_channels=4, rounds=20, seed=5)
+        assert sc.rate_on == tuple(rate_on)
         summaries.append(run_simulation(sc))
         configs.append(json.dumps(scenario_to_dict(sc)))
     assert same(summaries[0], summaries[1]) and same(summaries[0], summaries[2])
     assert configs[0] == configs[1] == configs[2]
+    # a numpy scalar or 0-d array is stored as the plain float
+    plain = Scenario(users=(UserSpec(false_alarm=0.2),) * 3, num_channels=4, rounds=20, seed=5)
+    for scalar in (np.array, np.float64):
+        sc = Scenario(users=(UserSpec(false_alarm=scalar(0.2)),) * 3, rate_on=scalar(50.0),
+                      num_channels=4, rounds=20, seed=5)
+        assert type(sc.users[0].false_alarm) is float and type(sc.rate_on) is float
+        assert same(run_simulation(sc), run_simulation(plain))
+        assert json.dumps(scenario_to_dict(sc)) == json.dumps(scenario_to_dict(plain))
     with pytest.raises(ValueError, match="false_alarm"):
         UserSpec(false_alarm=[[0.1, 0.2]])
 
