@@ -175,7 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON scenario file")
         p.add_argument("--seed", type=int, help="override the config seed")
         if name == "experiment":
-            p.add_argument("--workers", type=int, help="sweep worker processes")
+            p.add_argument("--workers", type=int,
+                           help="processes that run sweep points, this one included")
         _add_output_args(p)
         p.set_defaults(fn=fn)
 

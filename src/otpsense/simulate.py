@@ -17,8 +17,9 @@ threshold to every honest user.  A chunk holds at most ROUND_CHUNK cells
 (see `_round_cells`), so memory does not grow with the horizon.
 `run_simulation` runs the horizon chunk by chunk and aggregates metrics;
 `run_experiment` sweeps one or two scenario parameters, each sweep point on
-an independent random stream derived from (seed, point index), optionally on
-a process pool.
+an independent random stream derived from (seed, point index), on the
+calling process and, where `os.fork` exists, forked workers that claim
+points one at a time.
 
 Randomness is split into named streams (channel evolution, sensing, pad
 draws, vote tie-breaks, and per attacker one stream for each kind of draw
@@ -40,6 +41,10 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import mmap
+import os
+import pickle
+import signal
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -707,6 +712,123 @@ def _run_point(args) -> dict:
     return {**row, **run_simulation(point).row()}
 
 
+class _Claims:
+    """Hands out the indices 0, 1, 2, ... once each across forked processes:
+    an 8-byte counter in anonymous shared memory, guarded by a one-byte pipe
+    lock (a process holds the lock from reading the pipe's one byte until it
+    writes it back)."""
+
+    def __init__(self):
+        self.counter = mmap.mmap(-1, 8)
+        self.lock_r, self.lock_w = os.pipe()
+        os.write(self.lock_w, b"\0")
+
+    def next(self) -> int:
+        os.read(self.lock_r, 1)
+        try:
+            i = int.from_bytes(self.counter, "little")
+            self.counter[:] = (i + 1).to_bytes(8, "little")
+        finally:
+            os.write(self.lock_w, b"\0")
+        return i
+
+    def close(self) -> None:
+        self.counter.close()
+        os.close(self.lock_r)
+        os.close(self.lock_w)
+
+
+def _claim_points(
+    tasks: list, claims: _Claims, caller: int | None = None,
+) -> list[tuple[int, dict]]:
+    """Run points until none are left to claim.  A forked worker passes its
+    caller's pid and stops at its next claim once the caller is gone (killed
+    by a signal it could not act on), so an orphan runs at most one more point."""
+    done = []
+    while (caller is None or os.getppid() == caller) and (i := claims.next()) < len(tasks):
+        done.append((i, _run_point(tasks[i])))
+    return done
+
+
+def _serve_child(tasks: list, claims: _Claims, out: int, caller: int) -> None:
+    """A forked worker's whole life: run points, pickle `(True, rows)` or
+    `(False, (exception, traceback text))` down `out`, and leave with
+    `os._exit`, so it never returns into the caller's stack, runs its exit
+    hooks or flushes the stdio buffers it inherited.  It exits 0 only once
+    its message is sent.  It ignores SIGINT: on Ctrl-C the caller kills it,
+    and it can never be interrupted while it holds the claim lock."""
+    status = 1
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        try:
+            message = (True, _claim_points(tasks, claims, caller))
+        except BaseException as exc:
+            import traceback  # only a failed worker needs it
+
+            where = traceback.format_exc()
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+            message = (False, (exc, where))
+        with open(out, "wb") as f:
+            pickle.dump(message, f)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _run_forked(tasks: list, workers: int) -> list[dict]:
+    """Run `tasks` on `workers - 1` forked children and this process, each
+    claiming the next unclaimed point when it is free, so a slow point holds
+    up only the process that runs it.  A child that a point raised in stops,
+    and the exception is raised here once this process has run out of
+    points; an error in this process (a point's, or KeyboardInterrupt) kills
+    the children.  Every child is reaped before this returns or raises."""
+    claims = _Claims()
+    caller = os.getpid()
+    pids, pipes = [], []
+    try:
+        for _ in range(workers - 1):
+            r, w = os.pipe()
+            pipes.append(r)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _serve_child(tasks, claims, w, caller)
+            finally:
+                os.close(w)
+            pids.append(pid)
+        done = _claim_points(tasks, claims)
+        blobs = []
+        for r in pipes:
+            with open(r, "rb", closefd=False) as f:
+                blobs.append(f.read())
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+        for r in pipes:
+            os.close(r)
+        claims.close()
+    for pid, blob, status in zip(pids, blobs, statuses):
+        code = os.waitstatus_to_exitcode(status)
+        if code:
+            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+            raise RuntimeError(f"sweep worker {pid} {how} before sending its rows")
+        ok, value = pickle.loads(blob)
+        if not ok:
+            exc, where = value
+            raise exc from RuntimeError(f"in sweep worker {pid}:\n{where}")
+        done += value
+    rows = [None] * len(tasks)
+    for i, row in done:
+        rows[i] = row
+    return rows
+
+
 def run_experiment(
     sc: Scenario,
     sweep: list[tuple[str, list]],
@@ -715,11 +837,15 @@ def run_experiment(
     """Cross-product sweep over one or two parameters.
 
     Every point runs `run_simulation` on a seed derived from (scenario seed,
-    point index), so results are reproducible and independent of `workers`
-    (at least 1; more than the point count runs one process per point).
-    Every point's scenario, channel model, detector profiles and pad subset
-    are built, and so checked, before any point runs.  Rows come back in
-    point order.
+    point index), so results are reproducible and independent of `workers`.
+    `workers` (at least 1) counts processes, the caller included: past one
+    point, `min(workers, points) - 1` workers are forked and every process
+    claims one point at a time until none are left.  Where `os.fork` does
+    not exist the points run serially in the caller.  A forked worker holds
+    only the calling thread, so a program that runs other threads should
+    pass 1, as with any fork.  Every point's scenario, channel model,
+    detector profiles and pad subset are built, and so checked, before any
+    point runs.  Rows come back in point order.
     """
     if not 1 <= len(sweep) <= 2:
         raise ValueError("sweep must name one or two parameters")
@@ -750,13 +876,9 @@ def run_experiment(
             build_subset(point, _subset_stream(point.seed))
 
     workers = min(workers, len(tasks))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_point, tasks))
-    else:
-        rows = [_run_point(t) for t in tasks]
-    return rows
+    if workers > 1 and hasattr(os, "fork"):
+        return _run_forked(tasks, workers)
+    return [_run_point(t) for t in tasks]
 
 
 # ---- config files ------------------------------------------------------
@@ -852,7 +974,9 @@ def _check_types(d: dict, types: dict, where: str) -> None:
 
 def scenario_from_dict(d: dict) -> Scenario:
     """Build a Scenario from parsed JSON, rejecting unknown keys and values
-    of the wrong JSON type."""
+    of the wrong JSON type.  Rate lists go to `Scenario` and `UserSpec` as
+    given, so they are stored as tuples of floats just as lists passed in
+    code are, and both forms have one config hash."""
     if not isinstance(d, dict):
         raise ValueError("config must be a JSON object")
     _check_types({k: v for k, v in d.items() if k != "sweep"}, _CONFIG_TYPES, "config")
@@ -864,12 +988,8 @@ def scenario_from_dict(d: dict) -> Scenario:
             if not isinstance(u, dict):
                 raise ValueError(f"users[{i}] must be an object")
             _check_types(u, _USER_TYPES, f"users[{i}]")
-            u = {k: tuple(v) if isinstance(v, list) else v for k, v in u.items()}
             specs.append(UserSpec(**u))
         kwargs["users"] = tuple(specs)
-    for key in ("rate_on", "rate_off"):
-        if isinstance(kwargs.get(key), list):
-            kwargs[key] = tuple(kwargs[key])
     return Scenario(**kwargs)
 
 

@@ -1,6 +1,9 @@
 """End-to-end CLI behaviour through main()."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -333,6 +336,25 @@ def test_experiment_rejects_workers_below_one(tmp_path, capsys, flag, config_wor
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error:") and "workers" in err
+
+
+def test_experiment_stdout_is_byte_identical_at_any_worker_count(tmp_path):
+    # in a subprocess writing to stdout, so a forked worker that flushed the
+    # stdio buffers it inherited would show as repeated bytes
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({
+        "num_channels": 16, "rounds": 6, "seed": 4, "users": _honest(4),
+        "sweep": [{"param": "pairs", "values": [1, 2, 4]}, {"param": "selfish", "values": [0, 1]}],
+    }))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    outs = [
+        subprocess.run([sys.executable, "-m", "otpsense.cli", "experiment", "--config", str(path),
+                        "--format", "json-lines", "--workers", workers],
+                       capture_output=True, check=True, env=env, timeout=120).stdout
+        for workers in ("1", "2", "3", "8")
+    ]
+    assert len(outs[0].splitlines()) == 7
+    assert outs[1] == outs[0] and outs[2] == outs[0] and outs[3] == outs[0]
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,12 +1,14 @@
 """Scenario plumbing and round engine behaviour."""
 
-import concurrent.futures
 import copy
 import dataclasses
 import json
+import mmap
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -420,33 +422,190 @@ def test_run_experiment_rejects_a_bad_point_before_running_any(monkeypatch):
 
 
 def test_run_experiment_clamps_workers_to_points(monkeypatch):
-    pools = []
+    forks = []
+    fork = os.fork
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            pools.append(max_workers)
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "fork", counting_fork)
     sc = small_scenario(rounds=4)
     sweep = [("pairs", [1, 2])]
     assert run_experiment(sc, sweep, workers=8) == run_experiment(sc, sweep, workers=1)
-    assert pools == [2]
+    # two points: one forked worker, and the caller runs points too
+    assert len(forks) == 1
 
 
-def test_importing_the_package_leaves_the_process_pool_unloaded():
-    code = "import sys, otpsense.cli; print('concurrent.futures.process' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-    assert out.stdout.strip() == "False"
+def test_run_experiment_runs_serially_without_fork(monkeypatch):
+    sc = small_scenario(rounds=4)
+    sweep = [("pairs", [1, 2]), ("rounds", [4, 6])]
+    rows = run_experiment(sc, sweep, workers=2)
+    monkeypatch.delattr(os, "fork")
+    assert run_experiment(sc, sweep, workers=2) == rows
+
+
+def run_fake_points(monkeypatch, point, n):
+    """run_experiment on two workers over n small points, each run by `point`."""
+    monkeypatch.setattr(simulate, "_run_point", point)
+    return run_experiment(small_scenario(rounds=4), [("rounds", [4] * n)], workers=2)
+
+
+def test_workers_claim_points_one_at_a_time(monkeypatch):
+    def point(task):
+        if task[1]["point"] == 0:
+            time.sleep(0.5)
+        return {**task[1], "pid": os.getpid()}
+
+    rows = run_fake_points(monkeypatch, point, 6)
+    assert [r["point"] for r in rows] == list(range(6))
+    # while one process sleeps on point 0 the other takes every other point;
+    # a fixed split would leave points 2 and 4 queued behind point 0
+    assert all(r["pid"] != rows[0]["pid"] for r in rows[1:])
+
+
+def test_six_processes_claim_every_index_exactly_once():
+    # the processes do nothing but claim, so they contend for the counter on
+    # every call; a lost update would hand some index out twice
+    n = 20000
+    claims = simulate._Claims()
+    runs = mmap.mmap(-1, n)
+
+    def claim_all():
+        while (i := claims.next()) < n:
+            runs[i] += 1
+
+    pids = []
+    for _ in range(5):
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                claim_all()
+                status = 0
+            finally:
+                os._exit(status)
+        pids.append(pid)
+    try:
+        claim_all()
+    finally:
+        statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+        claims.close()
+    assert statuses == [0] * 5
+    assert runs[:] == b"\1" * n
+
+
+@pytest.mark.parametrize("where,error", [
+    ("child", ValueError("boom")), ("caller", ValueError("boom")),
+    ("caller", KeyboardInterrupt("boom")),
+])
+def test_a_point_that_raises_fails_the_run_and_leaves_no_child(monkeypatch, where, error):
+    caller = os.getpid()
+
+    def point(task):
+        if (os.getpid() == caller) == (where == "caller"):
+            raise error
+        time.sleep(0.1)
+        return task[1]
+
+    with pytest.raises(type(error), match="^boom$") as raised:
+        run_fake_points(monkeypatch, point, 6)
+    if where == "child":
+        # the worker's own traceback rides along as the cause
+        assert "raise error" in str(raised.value.__cause__)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_an_exception_that_will_not_unpickle_arrives_as_its_type_and_message(monkeypatch):
+    class Unsendable(Exception):  # a local class does not pickle
+        pass
+
+    caller = os.getpid()
+
+    def point(task):
+        if os.getpid() != caller:
+            raise Unsendable("boom")
+        time.sleep(0.1)
+        return task[1]
+
+    with pytest.raises(RuntimeError, match="^Unsendable: boom$"):
+        run_fake_points(monkeypatch, point, 4)
+
+
+def test_a_worker_that_dies_without_its_rows_names_its_exit_status(monkeypatch):
+    caller = os.getpid()
+
+    def point(task):
+        if os.getpid() != caller:
+            os._exit(3)
+        time.sleep(0.1)
+        return task[1]
+
+    with pytest.raises(RuntimeError, match="exited with status 3"):
+        run_fake_points(monkeypatch, point, 4)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_worker_whose_caller_is_killed_claims_no_more_points(tmp_path):
+    log = tmp_path / "points"
+    script = (
+        "import os, time\n"
+        "from otpsense import simulate\n"
+        "def point(task):\n"
+        f"    with open({str(log)!r}, 'a') as f:\n"
+        "        f.write(f'{os.getpid()}\\n')\n"
+        "    time.sleep(0.2)\n"
+        "    return task[1]\n"
+        "simulate._run_point = point\n"
+        "sc = simulate.Scenario(num_channels=12, users=(simulate.UserSpec(),) * 3, rounds=4)\n"
+        "simulate.run_experiment(sc, [('rounds', [4] * 50)], workers=2)\n"
+    )
+    caller = subprocess.Popen([sys.executable, "-c", script],
+                              env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+
+    def runs():
+        return log.read_text().split() if log.exists() else []
+
+    deadline = time.monotonic() + 30
+    while len(set(runs())) < 2 and time.monotonic() < deadline:
+        time.sleep(0.02)
+    caller.kill()
+    caller.wait()
+    workers = set(runs()) - {str(caller.pid)}
+    assert len(workers) == 1
+    worker = int(workers.pop())
+    try:
+        before = runs().count(str(worker))
+        time.sleep(1.0)
+        # it ends the point it holds, and five more would fit in the wait
+        assert runs().count(str(worker)) <= before + 1
+    finally:
+        try:
+            os.kill(worker, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+
+
+def test_importing_the_package_leaves_the_process_pool_unloaded(tmp_path):
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({"num_channels": 12, "rounds": 4, "users": [{}] * 3,
+                                  "sweep": [{"param": "pairs", "values": [1, 2, 3]}]}))
+    code = (
+        "import sys, otpsense.cli\n"
+        "print('concurrent.futures.process' in sys.modules)\n"
+        "assert otpsense.cli.main(['experiment', '--config', sys.argv[1], '--workers', '2',\n"
+        "                          '--out', sys.argv[2]]) == 0\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] in ('concurrent', 'multiprocessing')))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code, str(config), str(tmp_path / "rows.csv")],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.split("\n") == ["False", "[]", ""]
 
 
 def test_point_seeds_differ_across_points():
@@ -469,6 +628,22 @@ def test_scenario_dict_roundtrip():
     back = scenario_from_dict(d)
     assert back == sc
     assert config_hash(d) == config_hash(dict(reversed(list(d.items()))))
+
+
+@pytest.mark.parametrize("rates,detector", [
+    ([50, 40], [0, 0]), ([50.0, 40.0], [0.1, 0.2]), ([50, 40.5], [0, 0.2]),
+])
+def test_code_and_json_rate_lists_give_one_scenario_and_hash(rates, detector):
+    in_code = Scenario(rate_on=rates, rate_off=rates[::-1], num_channels=2,
+                       users=(UserSpec(false_alarm=detector, miss=detector),) * 2)
+    from_json = scenario_from_dict(json.loads(json.dumps({
+        "rate_on": rates, "rate_off": rates[::-1], "num_channels": 2,
+        "users": [{"false_alarm": detector, "miss": detector}] * 2,
+    })))
+    assert from_json == in_code
+    assert type(from_json.rate_on[0]) is float and type(from_json.users[0].miss[0]) is float
+    assert (config_hash(scenario_to_dict(from_json))
+            == config_hash(scenario_to_dict(in_code)))
 
 
 def test_scenario_from_dict_rejects_unknown_keys():
