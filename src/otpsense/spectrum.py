@@ -117,11 +117,24 @@ def sample_states(
     decay = np.exp(-(model.rate_on + model.rate_off) * model.slot_period)
     # P(next=1 | prev) = p1 + (prev - p1) * exp(-r*T), for prev = 1 and prev = 0
     stays_busy, turns_busy = u < p1 + (1.0 - p1) * decay, u < p1 - p1 * decay
-    states = np.empty(u.shape, dtype=np.uint8)
-    for t in range(len(u)):
-        states[t] = u[t] < p1 if previous is None else np.where(previous, stays_busy[t], turns_busy[t])
-        previous = states[t]
+    first = u[0] < p1 if previous is None else np.where(previous, stays_busy[0], turns_busy[0])
+    states = _fill_chain(stays_busy, turns_busy, first)
     return states if slots is not None else states[0]
+
+
+def _fill_chain(stays_busy: np.ndarray, turns_busy: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """The chain's (T, M) states from slot 0's states `first` and each later
+    slot's two transitions, without a loop over slots.  turns_busy implies
+    stays_busy, so a slot is 1 where it turns busy, 0 where it does not stay
+    busy, and the slot before's state elsewhere: each slot takes the value
+    of its channel's last decisive slot, found by a running maximum over
+    slot indices.  Overwrites both transition arrays' slot 0."""
+    stays_busy[0] = turns_busy[0] = first  # slot 0 is decisive either way
+    slots, channels = turns_busy.shape
+    index = np.arange(slots, dtype=np.min_scalar_type(slots - 1))[:, None]
+    last = (turns_busy | ~stays_busy) * index
+    np.maximum.accumulate(last, axis=0, out=last)
+    return turns_busy[last, np.arange(channels)].view(np.uint8)
 
 
 @dataclass(frozen=True, eq=False)

@@ -69,3 +69,20 @@ def vote_blocks_by_reduceat(targets, subset, weights, rng) -> np.ndarray:
     margins = np.add.reduceat(flipped * (-2 * weights), starts, axis=1)
     margins += np.add.reduceat(weights, starts)
     return subset._from_digits(protocol._block_digits(margins, subset, rng))
+
+
+def sample_states_by_slots(model, rng, previous=None, slots=1) -> np.ndarray:
+    """`spectrum.sample_states` as a loop over slots: the kernel applied to
+    each slot's uniforms in turn, from the state of the slot before."""
+    from otpsense.spectrum import stationary_occupancy
+
+    p1 = stationary_occupancy(model)
+    u = rng.random((slots, model.num_channels))
+    decay = np.exp(-(model.rate_on + model.rate_off) * model.slot_period)
+    stays_busy, turns_busy = u < p1 + (1.0 - p1) * decay, u < p1 - p1 * decay
+    states = np.empty(u.shape, dtype=np.uint8)
+    for t in range(slots):
+        states[t] = u[t] < p1 if previous is None else np.where(previous, stays_busy[t],
+                                                                  turns_busy[t])
+        previous = states[t]
+    return states

@@ -5,6 +5,8 @@ import copy
 import numpy as np
 import pytest
 
+import oracles
+
 from otpsense.spectrum import (
     ChannelModel,
     DetectorProfile,
@@ -109,6 +111,22 @@ def test_chain_of_slots_matches_slot_by_slot_draws(start):
     assert 0 < (chain[1:] != chain[:-1]).mean() < 0.5  # the chain moves, with memory
     with pytest.raises(ValueError, match="slots"):
         sample_states(m, chain_rng, slots=0)
+
+
+@pytest.mark.parametrize("slots", [1, 10, 16, 350])
+@pytest.mark.parametrize("start", [None, "given"])
+def test_loop_free_chain_matches_the_slot_loop(slots, start):
+    # fast and slow channels side by side, so some chains flip every few
+    # slots and some hold for hundreds
+    m = ChannelModel(48, np.geomspace(0.5, 400.0, 48), np.geomspace(300.0, 1.0, 48),
+                     slot_period=0.01)
+    previous = None if start is None else sample_states(m, np.random.default_rng(8))
+    got_rng, want_rng = np.random.default_rng(9), np.random.default_rng(9)
+    got = sample_states(m, got_rng, previous=previous, slots=slots)
+    want = oracles.sample_states_by_slots(m, want_rng, previous=previous, slots=slots)
+    assert got.dtype == want.dtype == np.uint8
+    assert np.array_equal(got, want)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_stacked_sense_matches_one_call_per_row():
