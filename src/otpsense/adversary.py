@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import as_bits
+from .bits import as_bits, below, thresholds, uniform_words
 from .protocol import PadSubset, recover_pads
 # a module attribute that perfbench/tracing.py wraps by name
 from .protocol import recover_pad  # noqa: F401
@@ -84,8 +84,11 @@ def ees_act(
     rows or an (H, M) array) and flips each bit independently with
     probability `modification` (0 = verbatim copy).  A (T, H, M) stack
     forges one (T, M) row per round.  The picks come from `rng` and the
-    flips from `flips_rng` (by default `rng`); on two generators a stack
-    takes the same random numbers as T one-round calls.  Call once per
+    flips from `flips_rng` (by default `rng`): each round draws one uniform
+    uint32 word per bit, from whole 64-bit outputs (`bits.uniform_words`),
+    and flips the bits whose word is below floor(modification * 2**32).
+    On two generators a stack takes the same random numbers as T one-round
+    calls.  Call once per
     recipient to forward possibly different copies.  Rows of unequal
     length, or entries other than 0 and 1, raise ValueError (`as_bits`).
     """
@@ -97,8 +100,9 @@ def ees_act(
     picks = rng.integers(rows.shape[-2], size=rows.shape[:-2])
     copy = rows[np.arange(rows.shape[0]), picks] if rows.ndim == 3 else rows[picks].copy()
     if modification > 0:
-        flips = ((rng if flips_rng is None else flips_rng).random(copy.shape) < modification)
-        copy ^= flips.astype(np.uint8)
+        words = uniform_words(rng if flips_rng is None else flips_rng,
+                              len(copy) if copy.ndim == 2 else 1, copy.shape[-1])
+        copy ^= below(words, thresholds(modification)).reshape(copy.shape).view(np.uint8)
     return copy
 
 

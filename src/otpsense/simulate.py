@@ -22,18 +22,22 @@ calling process and, where `os.fork` exists, forked workers that claim
 points one at a time.
 
 Randomness is split into named streams (channel evolution, sensing, pad
-draws, vote tie-breaks, and per attacker one stream for each kind of draw
-it makes) spawned from the scenario seed, each generator made only when a
-run first draws from it.  One sensing stream serves the
+draws, vote tie-breaks, the subset, and per attacker one stream for each
+kind of draw it makes), each at a fixed index and seeded from its own four
+words of one hash of the scenario seed (see `_Streams`).  Every Bernoulli
+bit, in sensing, the channel chain and ees bit flips, is a uniform uint32
+word below the threshold floor(rate * 2**32) (`bits.thresholds`), each
+slot drawn from whole 64-bit outputs.  One sensing stream serves the
 whole population, drawn in (slot, user, channel) order, and every user
 draws a full row whatever its role.  So runs with the protocol enabled and
-disabled, and the points of a `selfish` sweep, see identical channel truth
-and detector noise, and results never depend on worker scheduling.  A
-user's noise does depend on the population size N, so populations of
-different sizes do not share random numbers user by user.  Each stream is
-consumed by one kind of call only, and a chunk's draw of T rounds takes the
-same random numbers as T one-round draws, so results do not depend on the
-chunk length either.
+disabled see identical channel truth and detector noise, and so do the
+scenarios `apply_sweep` makes for the points of a `selfish` sweep, run on
+one seed; `run_experiment` gives each point a seed of its own.  Results
+never depend on worker scheduling.  A user's noise does depend on the
+population size N, so populations of different sizes do not share random
+numbers user by user.  Each stream is consumed by one kind of call only,
+and a chunk's draw of T rounds takes the same random numbers as T
+one-round draws, so results do not depend on the chunk length either.
 """
 
 from __future__ import annotations
@@ -131,6 +135,7 @@ class Scenario:
             raise ValueError("scenario needs at least one user")
         if not any(u.role == "honest" for u in self.users):
             raise ValueError("scenario needs at least one honest user")
+        check_seed(self.seed)
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
         if self.num_channels < 1:
@@ -159,24 +164,43 @@ class Scenario:
                 raise ValueError("pes sensed_channels must lie in [0, num_channels]")
 
 
+def check_seed(seed) -> None:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def channel_model(sc: Scenario) -> spectrum.ChannelModel:
-    return spectrum.ChannelModel(sc.num_channels, sc.rate_on, sc.rate_off, sc.slot_period)
+    """The scenario's channel model.  Each (channel count, rates, slot
+    period) is built once per process and shared by every scenario with
+    them, with its Bernoulli thresholds, so its arrays are read-only."""
+    return _channel_model(sc.num_channels, sc.rate_on, sc.rate_off, sc.slot_period)
 
 
 def detector_profiles(sc: Scenario) -> list[spectrum.DetectorProfile]:
-    """One detector profile per user, in user order.  Each (spec, channel
-    count) is built once per process and shared by every user and scenario
-    with that spec, so its arrays are read-only."""
-    return [_detector_profile(u, sc.num_channels) for u in sc.users]
+    """One detector profile per user, in user order.  Each (false_alarm,
+    miss, channel count) is built once per process and shared by every user
+    and scenario with those rates, whatever their roles, with its Bernoulli
+    thresholds, so its arrays are read-only."""
+    return [_detector_profile(u.false_alarm, u.miss, sc.num_channels) for u in sc.users]
+
+
+def _read_only(obj, *names):
+    for name in names:
+        getattr(obj, name).flags.writeable = False
+    return obj
 
 
 @functools.cache
-def _detector_profile(spec: UserSpec, num_channels: int) -> spectrum.DetectorProfile:
+def _channel_model(num_channels, rate_on, rate_off, slot_period) -> spectrum.ChannelModel:
+    return _read_only(spectrum.ChannelModel(num_channels, rate_on, rate_off, slot_period),
+                      "rate_on", "rate_off")
+
+
+@functools.cache
+def _detector_profile(false_alarm, miss, num_channels: int) -> spectrum.DetectorProfile:
     rates = [np.broadcast_to(np.asarray(r, dtype=float), (num_channels,)).copy()
-             for r in (spec.false_alarm, spec.miss)]
-    for a in rates:
-        a.flags.writeable = False
-    return spectrum.DetectorProfile(*rates)
+             for r in (false_alarm, miss)]
+    return _read_only(spectrum.DetectorProfile(*rates), "false_alarm", "miss")
 
 
 def _target_eta(sc: Scenario) -> float | None:
@@ -242,65 +266,72 @@ class _Rounds:
     attacks: dict[int, _Attack]          # by attacker, in user order
 
 
-# the kinds of draw each attacker role makes, one generator per (user, kind)
+# the kinds of draw each attacker role makes, one stream per (user, kind)
 ATTACK_DRAWS = {"ees": ("pick", "flips", "decode"), "pes": ("ties",), "history": ("ties",)}
+# stream indices: five for the engine, then user i's kind of draw j (of at
+# most KINDS) at ATTACKS + KINDS * i + j
+CHANNEL, PADS, TIES, SUBSET, SENSING, ATTACKS = range(6)
+KINDS = 3
 
 
-class _Stream:
-    """The generator of one spawn key of the scenario seed, made on first
-    use: SeedSequence(seed, spawn_key=key) is the seed's spawned child at
-    that key path.  Draw methods and `bit_generator` are the generator's."""
+@functools.cache
+def _seeding():
+    """`numpy.random.SeedSequence`, and the maker of a generator from four
+    seed words: a PCG64 seeded through a minimal `ISeedSequence` that hands
+    it those words.  numpy.random is imported here, on the first run, so
+    `import otpsense` does not load it."""
+    from numpy.random import PCG64, Generator, SeedSequence
+    from numpy.random.bit_generator import ISeedSequence
 
-    def __init__(self, seed: int, key: tuple[int, ...]):
-        self._seed, self._key = seed, key
+    class Words(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
 
-    @functools.cached_property
-    def _generator(self) -> np.random.Generator:
-        return np.random.default_rng(np.random.SeedSequence(self._seed, spawn_key=self._key))
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words  # PCG64 asks for 4 uint64 words
 
-    def __getattr__(self, name):
-        if name.startswith("_"):
-            raise AttributeError(name)
-        return getattr(self._generator, name)
+    return SeedSequence, lambda words: Generator(PCG64(Words(words)))
+
+
+def _stream_words(seed: int, count: int) -> np.ndarray:
+    """(count, 4) seed words, row k stream k's: the seed is hashed once,
+    and stream k takes words 4k to 4k + 3 of its SeedSequence state.  Each
+    word is a function of the seed and its own index alone, so stream k's
+    words do not depend on how many streams a run makes."""
+    return _seeding()[0](seed).generate_state(4 * count, np.uint64).reshape(count, 4)
 
 
 @dataclass
 class _Streams:
-    """The scenario's generators, one per key spawned from the seed: six
-    keys, whatever the population, each made only when first drawn from.
-    So a run never makes the tie stream where no vote can tie (odd block
-    widths) or the ees flips stream at ees_modification 0, and honest-only
-    runs make no attacker generator.  The sensing stream draws every user's
-    sensing of a slot as one (user, channel) block, slot after slot.  Key 2
-    is the attackers': attacker i draws its kind j (ATTACK_DRAWS[role][j])
-    from key 2's grandchild (i, j), which spawning key 2 per user and then
-    user i's key per kind would give.  So each (attacker, kind) pair has a
-    generator of its own: no attacker draw moves another stream, and a
-    stacked draw takes the same random numbers as per-round ones."""
+    """The scenario's generators, each seeded from its fixed stream index
+    (`_stream_words`): channel evolution, pad draws, vote tie-breaks, the
+    subset and sensing, then for each attacker one per kind of draw it
+    makes, user i's kind j (ATTACK_DRAWS[role][j]) at ATTACKS + KINDS * i +
+    j.  So no stream depends on the population's size or roles, no attacker
+    draw moves another stream, and a stacked draw takes the same random
+    numbers as per-round ones.  The sensing stream draws every user's
+    sensing of a slot as one (user, channel) block, slot after slot."""
 
-    channel: _Stream
-    pads: _Stream
-    ties: _Stream
-    subset: _Stream
-    sensing: _Stream
-    attack: dict[tuple[int, str], _Stream]  # by (user, kind)
+    channel: np.random.Generator
+    pads: np.random.Generator
+    ties: np.random.Generator
+    subset: np.random.Generator
+    sensing: np.random.Generator
+    attack: dict[tuple[int, str], np.random.Generator]  # by (user, kind)
 
 
 def _subset_stream(seed: int) -> np.random.Generator:
     """The subset stream of `_spawn_streams(seed, ...)`, made on its own."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(4,)))
+    return _seeding()[1](_stream_words(seed, SUBSET + 1)[SUBSET])
 
 
 def _spawn_streams(seed: int, users: tuple[UserSpec, ...]) -> _Streams:
-    return _Streams(
-        channel=_Stream(seed, (0,)),
-        pads=_Stream(seed, (1,)),
-        ties=_Stream(seed, (3,)),
-        subset=_Stream(seed, (4,)),
-        sensing=_Stream(seed, (5,)),
-        attack={(i, kind): _Stream(seed, (2, i, j))
-                for i, u in enumerate(users) for j, kind in enumerate(ATTACK_DRAWS.get(u.role, ()))},
-    )
+    attack = {(i, kind): ATTACKS + KINDS * i + j
+              for i, u in enumerate(users) for j, kind in enumerate(ATTACK_DRAWS.get(u.role, ()))}
+    words = _stream_words(seed, max(attack.values(), default=SENSING) + 1)
+    make = _seeding()[1]
+    return _Streams(*(make(words[k]) for k in (CHANNEL, PADS, TIES, SUBSET, SENSING)),
+                    attack={key: make(words[k]) for key, k in attack.items()})
 
 
 @dataclass

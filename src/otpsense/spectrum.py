@@ -12,12 +12,13 @@ States are 1 = busy (primary user transmitting), 0 = idle.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import as_bits
+from .bits import as_bits, below, thresholds, uniform_words
 
 
 def _per_channel(value, num_channels: int, name: str) -> np.ndarray:
@@ -63,6 +64,15 @@ class ChannelModel:
         object.__setattr__(self, "rate_off", rate_off)
         object.__setattr__(self, "slot_period", float(slot_period))
 
+    @functools.cached_property
+    def _thresholds(self):
+        """`bits.thresholds` of the stationary, stay-busy and turn-busy
+        rates, built on first use: a model's rates must not change after."""
+        p1 = stationary_occupancy(self)
+        decay = np.exp(-(self.rate_on + self.rate_off) * self.slot_period)
+        # P(next=1 | prev) = p1 + (prev - p1) * exp(-r*T), for prev = 1 and prev = 0
+        return tuple(map(thresholds, (p1, p1 + (1.0 - p1) * decay, p1 - p1 * decay)))
+
 
 def stationary_occupancy(model: ChannelModel) -> np.ndarray:
     """Long-run probability that each channel is busy.
@@ -99,10 +109,15 @@ def sample_states(
     Without `previous` the first draw is stationary: independent
     Bernoulli(p1) per channel.  With `previous` the exact one-slot
     transition kernel of the ON/OFF chain is applied, so consecutive slots
-    are correlated (the history attack depends on this).  A chain applies
-    the kernel slot after slot, from the same random numbers as `slots`
-    single-slot calls that each pass the slot before.  `previous` must be
-    a (num_channels,) bit vector (`bits.as_bits`).
+    are correlated (the history attack depends on this).  `previous` must
+    be a (num_channels,) bit vector (`bits.as_bits`).
+
+    Each slot draws one uniform uint32 word per channel, from whole 64-bit
+    outputs of the generator (`bits.uniform_words`), and compares it with
+    the model's thresholds floor(rate * 2**32) (`bits.thresholds`, built
+    once per model).  A chain fills all its slots at once (`_fill_chain`),
+    with the states and random numbers of `slots` single-slot calls that
+    each pass the slot before.
 
     Returns:
         uint8 vector of shape (num_channels,), or (slots, num_channels)
@@ -112,12 +127,11 @@ def sample_states(
         previous = as_bits(previous, model.num_channels, name="previous")
     if slots is not None and slots < 1:
         raise ValueError(f"slots must be >= 1, got {slots}")
-    p1 = stationary_occupancy(model)
-    u = rng.random((1 if slots is None else slots, model.num_channels))
-    decay = np.exp(-(model.rate_on + model.rate_off) * model.slot_period)
-    # P(next=1 | prev) = p1 + (prev - p1) * exp(-r*T), for prev = 1 and prev = 0
-    stays_busy, turns_busy = u < p1 + (1.0 - p1) * decay, u < p1 - p1 * decay
-    first = u[0] < p1 if previous is None else np.where(previous, stays_busy[0], turns_busy[0])
+    stationary, stays, turns = model._thresholds
+    u = uniform_words(rng, 1 if slots is None else slots, model.num_channels)
+    stays_busy, turns_busy = below(u, stays), below(u, turns)
+    first = (below(u[0], stationary) if previous is None
+             else np.where(previous, stays_busy[0], turns_busy[0]))
     states = _fill_chain(stays_busy, turns_busy, first)
     return states if slots is not None else states[0]
 
@@ -142,7 +156,8 @@ class DetectorProfile:
     """Per-channel detector error rates of one sensing user.
 
     false_alarm[i] = P(report 1 | channel i idle), miss[i] = P(report 0 |
-    channel i busy).  Both in [0, 1].
+    channel i busy).  Both in [0, 1], and fixed once the profile has sensed:
+    `sense` keeps their `bits.thresholds` on the profile.
     """
 
     false_alarm: np.ndarray
@@ -167,6 +182,20 @@ class DetectorProfile:
     def num_channels(self) -> int:
         return self.false_alarm.size
 
+    @functools.cached_property
+    def _thresholds(self):
+        """`bits.thresholds` of false_alarm and of miss."""
+        return thresholds(self.false_alarm), thresholds(self.miss)
+
+
+def _stacked(tables):
+    """One (N, M) `bits.thresholds` pair from N users' (M,) ones."""
+    ones = [o for _, o in tables]
+    if all(o is None for o in ones):
+        return np.array([t for t, _ in tables]), None
+    return (np.array([t for t, _ in tables]),
+            np.array([np.zeros(t.shape, bool) if o is None else o for t, o in tables]))
+
 
 def sense(
     states: np.ndarray,
@@ -178,39 +207,43 @@ def sense(
 
     Busy channels are missed with probability miss[i]; idle channels raise a
     false alarm with probability false_alarm[i].  A stack is sensed from the
-    same random numbers as one call per row, in row order.
+    same random numbers as one call per row, in row order: each row draws
+    one uniform uint32 word per cell from whole 64-bit outputs of the
+    generator (`bits.uniform_words`).
 
     Given a sequence of N users' profiles in place of one, every user senses
     the same truth: the result is (N, M) for a state vector and (slots, N, M)
     for a stack, drawn in (slot, user, channel) order, so a stack is again
     sensed from the same random numbers as one call per slot.  When every
-    entry is one shared profile object its rows serve every user as they
-    are; otherwise the profiles are stacked into (N, M) tables.
+    entry is one shared profile object its threshold rows serve every user
+    as they are; otherwise they are stacked into (N, M) tables.
 
-    Each uniform u is compared with both rates, and a busy channel keeps
-    the miss test: errors are u < false_alarm, then u < miss where busy,
-    with no float table of per-cell rates.  States that are not (M,) or
-    (slots, M) bits raise ValueError (`bits.as_bits`) before any draw.
+    Each word u is compared with the thresholds floor(rate * 2**32) of both
+    rates (`bits.below`), and a busy channel keeps the miss test: errors
+    are u below false_alarm, then u below miss where busy, with no table of
+    per-cell rates.  States that are not (M,) or (slots, M) bits raise
+    ValueError (`bits.as_bits`) before any draw.
     """
     users = ()
     if isinstance(profile, DetectorProfile):
-        miss, false_alarm = profile.miss, profile.false_alarm
+        false_alarm, miss = profile._thresholds
     elif profile and all(p is profile[0] for p in profile):
-        miss, false_alarm, users = profile[0].miss, profile[0].false_alarm, (len(profile),)
+        (false_alarm, miss), users = profile[0]._thresholds, (len(profile),)
     else:
         channels = {p.num_channels for p in profile}
         if len(channels) != 1:
             raise ValueError(f"sense needs profiles of one channel count, got {sorted(channels)}")
-        miss = np.array([p.miss for p in profile])
-        false_alarm = np.array([p.false_alarm for p in profile])
+        false_alarm, miss = (_stacked([p._thresholds[k] for p in profile]) for k in (0, 1))
         users = (len(profile),)
-    width = miss.shape[-1]
+    width = miss[0].shape[-1]
     states = as_bits(states, width, (1, 2), "states")
-    u = rng.random((*states.shape[:-1], *users, width))
+    shape = (*states.shape[:-1], *users, width)
+    u = uniform_words(rng, shape[0] if states.ndim == 2 else 1,
+                      width * (users[0] if users else 1)).reshape(shape)
     if users:  # every user senses the same truth
         states = states[..., None, :]
-    errors = u < false_alarm
-    missed = u < miss
+    errors = below(u, false_alarm)
+    missed = below(u, miss)
     missed ^= errors
     missed &= states.view(bool)
     errors ^= missed  # u < miss where busy

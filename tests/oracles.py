@@ -71,18 +71,46 @@ def vote_blocks_by_reduceat(targets, subset, weights, rng) -> np.ndarray:
     return subset._from_digits(protocol._block_digits(margins, subset, rng))
 
 
+
+def pcg64_from_words(words):
+    """A PCG64 seeded with four given uint64 words."""
+    from numpy.random import PCG64
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Words(ISeedSequence):
+        def generate_state(self, n_words, dtype=np.uint32):
+            assert (n_words, dtype) == (4, np.uint64)
+            return np.array(words, dtype=np.uint64)
+
+    return PCG64(Words())
+
+
+def slot_words(rng, cells: int) -> np.ndarray:
+    """One slot's uniform words, as uint64 values below 2**32: each 64-bit
+    output of the bit generator split into its low and then its high half,
+    the last half dropped when cells is odd."""
+    raw = rng.bit_generator.random_raw(-(-cells // 2))
+    return np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).ravel()[:cells]
+
+
+def rate_thresholds(rates) -> np.ndarray:
+    """floor(rate * 2**32) as uint64, so rate 1 keeps its threshold 2**32."""
+    return np.floor(np.clip(rates, 0.0, 1.0) * 2.0 ** 32).astype(np.uint64)
+
+
 def sample_states_by_slots(model, rng, previous=None, slots=1) -> np.ndarray:
-    """`spectrum.sample_states` as a loop over slots: the kernel applied to
-    each slot's uniforms in turn, from the state of the slot before."""
+    """`spectrum.sample_states` as a loop over slots: each slot draws its own
+    words and applies the kernel from the state of the slot before."""
     from otpsense.spectrum import stationary_occupancy
 
     p1 = stationary_occupancy(model)
-    u = rng.random((slots, model.num_channels))
     decay = np.exp(-(model.rate_on + model.rate_off) * model.slot_period)
-    stays_busy, turns_busy = u < p1 + (1.0 - p1) * decay, u < p1 - p1 * decay
-    states = np.empty(u.shape, dtype=np.uint8)
+    stationary, stays, turns = map(rate_thresholds,
+                                   (p1, p1 + (1.0 - p1) * decay, p1 - p1 * decay))
+    states = np.empty((slots, model.num_channels), dtype=np.uint8)
     for t in range(slots):
-        states[t] = u[t] < p1 if previous is None else np.where(previous, stays_busy[t],
-                                                                  turns_busy[t])
+        u = slot_words(rng, model.num_channels)
+        states[t] = u < stationary if previous is None else np.where(previous, u < stays,
+                                                                       u < turns)
         previous = states[t]
     return states

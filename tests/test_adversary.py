@@ -54,6 +54,15 @@ def test_ees_modification_one_flips_everything():
     assert forged.tolist() == [1, 0, 0, 1]
 
 
+def test_ees_modification_zero_and_one_are_exact_on_a_stack():
+    observed = np.random.default_rng(3).integers(0, 2, (40, 3, 13), dtype=np.uint8)
+    picks, flips = np.random.default_rng(4), np.random.default_rng(5)
+    verbatim = ees_act(observed, np.random.default_rng(4), 0.0, flips)
+    assert flips.bit_generator.state == np.random.default_rng(5).bit_generator.state
+    # threshold 2**32: every word is below it, so every bit flips
+    assert np.array_equal(ees_act(observed, picks, 1.0, flips), verbatim ^ 1)
+
+
 def test_ees_modification_rate():
     rng = np.random.default_rng(2)
     observed = [np.zeros(1000, dtype=np.uint8)]

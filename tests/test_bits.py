@@ -22,6 +22,33 @@ def test_from_string_rejects_junk():
             bits.from_string(bad)
 
 
+def test_thresholds_are_exact_at_zero_one_and_the_uint32_edges():
+    t, ones = bits.thresholds([0.0, 2.0 ** -32, 0.5, 1 - 2.0 ** -53, 1.0])
+    assert t.dtype == np.uint32
+    assert t.tolist() == [0, 1, 2 ** 31, 2 ** 32 - 1, 2 ** 32 - 1]
+    assert ones.tolist() == [False, False, False, False, True]
+    assert bits.thresholds([0.0, 0.7])[1] is None
+    # rate 0 is below no word and rate 1 above every word, 0 and 2**32 - 1 included
+    words = np.array([[0, 1, 2 ** 31, 2 ** 32 - 1]], dtype=np.uint32).T
+    hit = bits.below(words, bits.thresholds([0.0, 2.0 ** -32, 0.5, 1.0]))
+    assert hit.tolist() == [[False, True, True, True], [False, False, True, True],
+                            [False, False, False, True], [False, False, False, True]]
+
+
+@pytest.mark.parametrize("cells", [1, 6, 7])
+def test_uniform_words_take_whole_outputs_per_slot(cells):
+    stacked, rows = np.random.default_rng(5), np.random.default_rng(5)
+    got = bits.uniform_words(stacked, 9, cells)
+    assert got.shape == (9, cells) and got.dtype == np.uint32
+    assert np.array_equal(got, np.concatenate([bits.uniform_words(rows, 1, cells)
+                                               for _ in range(9)]))
+    assert stacked.bit_generator.state == rows.bit_generator.state
+    # each slot used ceil(cells / 2) 64-bit outputs, low half first
+    raw = np.random.default_rng(5).bit_generator.random_raw(9 * -(-cells // 2))
+    halves = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).reshape(9, -1)[:, :cells]
+    assert np.array_equal(got, halves)
+
+
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=300))
 def test_string_roundtrip_random(lst):
     v = np.array(lst, dtype=np.uint8)

@@ -183,6 +183,27 @@ def test_simulate_seed_override_changes_hash(tmp_path, capsys):
     assert "# seed: 2" in overridden
 
 
+@pytest.mark.parametrize("argv, config_seed", [
+    (["simulate", "--seed", "-1"], 1),
+    (["simulate"], -1),
+    (["experiment", "--seed", "-1"], 1),
+    (["experiment"], -1),
+    (["subset-gen", "--channels", "8", "--phi", "2", "--seed", "-1"], None),
+    (["mask-level", "--channels", "8", "--phi", "2", "--seed", "-1"], None),
+])
+def test_a_negative_seed_is_named_on_every_path(tmp_path, capsys, engine_chunks, argv,
+                                                config_seed):
+    if config_seed is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"num_channels": 8, "rounds": 2, "seed": config_seed,
+                                    "sweep": [{"param": "pairs", "values": [1]}]}))
+        argv = argv + ["--config", str(path)]
+    # an error line and exit 1 from main, not an exception, and no round run
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == "" and engine_chunks == []
+    assert err == "error: seed must be a non-negative integer, got -1\n"
+
+
 @pytest.mark.parametrize("command", ["simulate", "experiment"])
 def test_seed_override_still_checks_the_config(tmp_path, capsys, command):
     path = tmp_path / "bad.json"

@@ -36,6 +36,8 @@ from otpsense.simulate import (
 from otpsense.spectrum import stationary_occupancy
 from test_golden import DIGESTS, SCENARIOS, summary_digest
 
+import oracles
+
 
 def small_scenario(**overrides):
     base = dict(num_channels=12, users=(UserSpec(),) * 3, pairs=1, rounds=8, seed=7)
@@ -85,6 +87,14 @@ def test_scenario_validation():
         UserSpec(sensed_channels=-1)
 
 
+def test_a_bad_seed_is_named_before_any_work():
+    for bad in (-3, -1, True, 1.5, "7"):
+        with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {bad!r}"):
+            small_scenario(seed=bad)
+    for good in (0, 2 ** 70, np.int64(5)):
+        assert small_scenario(seed=good).seed == good
+
+
 def test_subset_precedence():
     rng = np.random.default_rng(0)
     by_pairs = build_subset(small_scenario(pairs=3), rng)
@@ -120,7 +130,8 @@ def test_equal_user_specs_share_one_read_only_profile():
     sc = small_scenario(users=(UserSpec(), noisy, UserSpec(), UserSpec(role="ees"), noisy))
     profs = detector_profiles(sc)
     assert profs[0] is profs[2] and profs[1] is profs[4]
-    assert len({id(p) for p in profs}) == 3  # honest, noisy, and the ees spec
+    # profiles are keyed by rates, not roles: the ees spec's are the honest ones
+    assert profs[3] is profs[0] and len({id(p) for p in profs}) == 2
     for p in profs:
         for rates in (p.false_alarm, p.miss):
             with pytest.raises(ValueError):
@@ -791,11 +802,12 @@ def reference_round(sc, subset, model, profiles, state, streams):
     roles = np.array([u.role for u in sc.users])
     honest = np.flatnonzero(roles == "honest")
     truth = spectrum.sample_states(model, streams.channel, previous=state.truth)
-    # one (user, channel) block of uniforms per round, each user's row
-    # compared with its own miss/false-alarm table
-    u = streams.sensing.random((n, m))
-    sensed = np.array([truth ^ (u[i] < np.where(truth == 1, profiles[i].miss,
-                                                profiles[i].false_alarm))
+    # one (user, channel) block of uniform words per round, each user's row
+    # compared with the thresholds of its own miss/false-alarm table
+    u = oracles.slot_words(streams.sensing, n * m).reshape(n, m)
+    sensed = np.array([truth ^ (u[i] < np.where(truth == 1,
+                                                oracles.rate_thresholds(profiles[i].miss),
+                                                oracles.rate_thresholds(profiles[i].false_alarm)))
                        for i in range(n)], dtype=np.uint8)
 
     reports = np.zeros((n, m), dtype=np.uint8)
@@ -1061,11 +1073,11 @@ def test_a_p_target_run_sizes_its_blocks_once(monkeypatch):
 
 
 def test_subset_stream_is_the_spawned_subset_stream():
-    # key 4 of the seed's spawned keys, whatever the population
+    # stream 3 of the seed's hashed words, whatever the population
     for seed in (0, 7, 2 ** 40):
+        words = np.random.SeedSequence(seed).generate_state(16, np.uint64)
+        want = oracles.pcg64_from_words(words[12:16]).state
         for users in ((HONEST,), (HONEST,) * 3 + (UserSpec(role="ees"),) * 3):
-            spawned = np.random.SeedSequence(seed).spawn(6)[4]
-            want = np.random.default_rng(spawned).bit_generator.state
             assert simulate._subset_stream(seed).bit_generator.state == want
             assert _spawn_streams(seed, users).subset.bit_generator.state == want
 
@@ -1079,48 +1091,55 @@ def test_spawned_streams_do_not_depend_on_the_population_size():
         five, twenty = _spawn_streams(seed, (HONEST,) * 5), _spawn_streams(seed, (HONEST,) * 20)
         assert states(five) == states(twenty)
         assert five.attack == twenty.attack == {}
-        keys = np.random.SeedSequence(seed).spawn(6)
-        assert five.sensing.bit_generator.state == np.random.default_rng(keys[5]).bit_generator.state
+        words = np.random.SeedSequence(seed).generate_state(20, np.uint64)
+        assert five.sensing.bit_generator.state == oracles.pcg64_from_words(words[16:20]).state
 
 
 def test_tie_and_flip_streams_are_their_spawned_children():
     for seed in (0, 7, 2 ** 40):
         streams = _spawn_streams(seed, (HONEST, UserSpec(role="ees")))
-        keys = np.random.SeedSequence(seed).spawn(6)
-        ties = np.random.default_rng(keys[3])
-        assert streams.ties.bit_generator.state == ties.bit_generator.state
-        # key 2's child 1 (the ees user), then its child 1 (flips)
-        flips = np.random.default_rng(keys[2].spawn(2)[1].spawn(3)[1])
-        assert flips.bit_generator.state == np.random.default_rng(
-            np.random.SeedSequence(seed, spawn_key=(2, 1, 1))).bit_generator.state
-        assert streams.attack[1, "flips"].bit_generator.state == flips.bit_generator.state
+        words = np.random.SeedSequence(seed).generate_state(44, np.uint64).reshape(11, 4)
+        assert streams.ties.bit_generator.state == oracles.pcg64_from_words(words[2]).state
+        # user 1's kind 1 (flips): stream 5 + 3 * 1 + 1
+        assert streams.attack[1, "flips"].bit_generator.state == oracles.pcg64_from_words(
+            words[9]).state
 
 
-def made_streams(monkeypatch, sc):
-    """The spawn keys of every generator a run makes, in order."""
-    made, default_rng = [], np.random.default_rng
-
-    def recording(seed=None):
-        made.append(seed.spawn_key)
-        return default_rng(seed)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(np.random, "default_rng", recording)
-        run_simulation(sc)
-    return made
+def test_stream_words_do_not_depend_on_the_stream_count():
+    for seed in (0, 7, 2 ** 40):
+        many = simulate._stream_words(seed, 65)
+        for count in (1, 5, 26):
+            assert np.array_equal(simulate._stream_words(seed, count), many[:count])
+    # so an attacker's streams stay put when users join after it
+    one = _spawn_streams(3, (HONEST, UserSpec(role="ees")))
+    more = _spawn_streams(3, (HONEST, UserSpec(role="ees"), UserSpec(role="pes"), HONEST))
+    for key in one.attack:
+        assert one.attack[key].bit_generator.state == more.attack[key].bit_generator.state
 
 
-def test_a_run_makes_only_the_streams_it_draws_from(monkeypatch):
-    # odd widths never tie, so the honest-only run makes no tie stream
+def test_a_run_hashes_its_seed_once_and_makes_each_stream_once(monkeypatch):
+    hashed, made = [], []
+    stream_words, seeding = simulate._stream_words, simulate._seeding
+
+    def recording_words(seed, count):
+        hashed.append((seed, count))
+        return stream_words(seed, count)
+
+    def recording_seeding():
+        seed_sequence, make = seeding()
+        return seed_sequence, lambda words: made.append(words) or make(words)
+
+    monkeypatch.setattr(simulate, "_stream_words", recording_words)
+    monkeypatch.setattr(simulate, "_seeding", recording_seeding)
     honest = Scenario(num_channels=23, users=(HONEST,) * 4, pairs=None, phi=5, rounds=9, seed=3)
-    assert sorted(made_streams(monkeypatch, honest)) == [(0,), (1,), (4,), (5,)]
-    # an ees user that copies verbatim never draws bit flips
-    ees = (UserSpec(role="ees"),)
-    verbatim = dataclasses.replace(honest, users=(HONEST,) * 4 + ees)
-    assert sorted(made_streams(monkeypatch, verbatim)) == [
-        (0,), (1,), (2, 4, 0), (2, 4, 2), (4,), (5,)]
-    flipping = dataclasses.replace(verbatim, ees_modification=0.25)
-    assert (2, 4, 1) in made_streams(monkeypatch, flipping)
+    run_simulation(honest)
+    # the five engine streams, whatever the horizon or chunking
+    assert hashed == [(3, 5)] and len(made) == 5
+    # three ees streams for user 4, the last at 5 + 3 * 4 + 2
+    hashed.clear()
+    made.clear()
+    run_simulation(dataclasses.replace(honest, users=(HONEST,) * 4 + (UserSpec(role="ees"),)))
+    assert hashed == [(3, 20)] and len(made) == 8
 
 
 def recorded_sensing(monkeypatch, sc):

@@ -88,6 +88,18 @@ def test_long_slot_period_forgets_previous_state():
     assert abs(nxt.mean() - 0.75) < 3 * sigma
 
 
+def test_a_chain_whose_decay_rounds_to_one_never_moves():
+    # exp(-r * 1e-300) is 1.0: a busy channel stays busy with rate exactly 1
+    # (threshold 2**32) and an idle one turns busy with rate exactly 0
+    m = ChannelModel(64, np.linspace(1.0, 90.0, 64), 3.0, slot_period=1e-300)
+    stays = m._thresholds[1][1]
+    assert stays is not None and stays.all()
+    previous = sample_states(m, np.random.default_rng(1))
+    assert 0 < previous.sum() < 64
+    chain = sample_states(m, np.random.default_rng(2), previous=previous, slots=200)
+    assert (chain == previous).all()
+
+
 def test_sample_states_deterministic_and_validated():
     m = ChannelModel(64, 2.0, 1.0, 0.5)
     a = sample_states(m, np.random.default_rng(7))
@@ -159,18 +171,22 @@ def test_population_sense_of_a_stack_matches_one_call_per_slot():
     assert np.array_equal(stacked, slots)
     assert stacked_rng.bit_generator.state == slot_rng.bit_generator.state
     # drawn in (slot, user, channel) order, each user against its own table
-    u = np.random.default_rng(7).random((25, 5, 16))
+    words = np.random.default_rng(7)
+    u = np.stack([oracles.slot_words(words, 5 * 16).reshape(5, 16) for _ in range(25)])
     for i, p in enumerate(profiles):
-        flip = np.where(states == 1, p.miss, p.false_alarm)
+        flip = np.where(states == 1, oracles.rate_thresholds(p.miss),
+                        oracles.rate_thresholds(p.false_alarm))
         assert np.array_equal(stacked[:, i], states ^ (u[:, i] < flip)), i
 
 
 @pytest.mark.parametrize("stacked", [False, True])
 def test_sense_draws_the_bits_of_the_float_rate_table(stacked):
-    # per-channel rates with exact 0s and 1s; the population form on
-    # distinct and on shared profiles, and the one-profile form
+    # per-channel rates with exact 0s and 1s, each drawn as a word below
+    # its threshold floor(rate * 2**32); the population form on distinct and
+    # on shared profiles, and the one-profile form.  An odd band, so a
+    # user's row spans a half-used 64-bit output
     rng = np.random.default_rng(12)
-    m, n = 24, 5
+    m, n = 23, 5
 
     def rates():
         r = rng.random(m)
@@ -190,9 +206,29 @@ def test_sense_draws_the_bits_of_the_float_rate_table(stacked):
             truth = states[..., None, :]
             miss = np.array([p.miss for p in profile])
             false_alarm = np.array([p.false_alarm for p in profile])
-        u = clone.random(got.shape)
-        assert np.array_equal(got, truth ^ (u < np.where(truth == 1, miss, false_alarm)))
+        slots, cells = (9 if stacked else 1), got[0].size if stacked else got.size
+        u = np.stack([oracles.slot_words(clone, cells) for _ in range(slots)]).reshape(got.shape)
+        flip = np.where(truth == 1, oracles.rate_thresholds(miss),
+                        oracles.rate_thresholds(false_alarm))
+        assert np.array_equal(got, truth ^ (u < flip))
         assert draws.bit_generator.state == clone.bit_generator.state
+
+
+def test_sense_rates_of_zero_and_one_are_exact():
+    # per-channel rates of exactly 0 and 1 decide every bit; the third
+    # profile has no rate of 1, so a stack mixes rate-1 masks and none
+    rng = np.random.default_rng(13)
+    m = 33
+    exact = [DetectorProfile(*rng.integers(0, 2, (2, m)).astype(float)) for _ in range(2)]
+    middle = DetectorProfile.homogeneous(m, 0.3, 0.4)
+    states = rng.integers(0, 2, (300, m), dtype=np.uint8)
+    for profiles in (exact + [middle], [exact[0]] * 3, exact[0]):
+        got = sense(states, profiles, np.random.default_rng(14))
+        if isinstance(profiles, DetectorProfile):
+            profiles, got = [profiles], got[:, None]
+        for i, p in enumerate(profiles):
+            if p is not middle:
+                assert np.array_equal(got[:, i], np.where(states == 1, 1 - p.miss, p.false_alarm))
 
 
 def test_population_sense_rejects_bad_input_before_drawing():
