@@ -165,6 +165,7 @@ class Scenario:
 
 
 def check_seed(seed) -> None:
+    """Raise ValueError, naming the seed, unless it is a non-negative integer."""
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
