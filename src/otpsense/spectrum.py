@@ -184,8 +184,10 @@ class DetectorProfile:
 
     @functools.cached_property
     def _thresholds(self):
-        """`bits.thresholds` of false_alarm and of miss."""
-        return thresholds(self.false_alarm), thresholds(self.miss)
+        """`bits.thresholds` of false_alarm and of miss: one object for both
+        when the rates are equal channel by channel."""
+        fa = thresholds(self.false_alarm)
+        return fa, fa if np.array_equal(self.false_alarm, self.miss) else thresholds(self.miss)
 
 
 def _stacked(tables):
@@ -221,8 +223,9 @@ def sense(
     Each word u is compared with the thresholds floor(rate * 2**32) of both
     rates (`bits.below`), and a busy channel keeps the miss test: errors
     are u below false_alarm, then u below miss where busy, with no table of
-    per-cell rates.  States that are not (M,) or (slots, M) bits raise
-    ValueError (`bits.as_bits`) before any draw.
+    per-cell rates.  A profile whose two rates are equal on every channel
+    compares each word once.  States that are not (M,) or (slots, M) bits
+    raise ValueError (`bits.as_bits`) before any draw.
     """
     users = ()
     if isinstance(profile, DetectorProfile):
@@ -243,8 +246,9 @@ def sense(
     if users:  # every user senses the same truth
         states = states[..., None, :]
     errors = below(u, false_alarm)
-    missed = below(u, miss)
-    missed ^= errors
-    missed &= states.view(bool)
-    errors ^= missed  # u < miss where busy
+    if miss is not false_alarm:
+        missed = below(u, miss)
+        missed ^= errors
+        missed &= states.view(bool)
+        errors ^= missed  # u below miss where busy
     return np.bitwise_xor(states, errors.view(np.uint8))

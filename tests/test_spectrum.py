@@ -231,6 +231,22 @@ def test_sense_rates_of_zero_and_one_are_exact():
                 assert np.array_equal(got[:, i], np.where(states == 1, 1 - p.miss, p.false_alarm))
 
 
+def test_equal_rates_compare_each_word_once_by_the_two_rate_rule():
+    rng = np.random.default_rng(15)
+    rates = rng.random(21)
+    rates[:3] = 0.0, 1.0, 0.5
+    profile = DetectorProfile(rates, rates.copy())
+    assert profile._thresholds[0] is profile._thresholds[1]
+    states = rng.integers(0, 2, (40, 21), dtype=np.uint8)
+    flip = oracles.rate_thresholds(rates)
+    for form, n in ((profile, 1), ([profile] * 3, 3)):
+        got = sense(states, form, np.random.default_rng(16))
+        words = np.random.default_rng(16)
+        u = np.stack([oracles.slot_words(words, n * 21) for _ in range(40)]).reshape(got.shape)
+        truth = states if n == 1 else states[:, None]
+        assert np.array_equal(got, truth ^ (u < flip))
+
+
 def test_population_sense_rejects_bad_input_before_drawing():
     rng = np.random.default_rng(8)
     before = rng.bit_generator.state
