@@ -192,11 +192,10 @@ class DetectorProfile:
 
 def _stacked(tables):
     """One (N, M) `bits.thresholds` pair from N users' (M,) ones."""
-    ones = [o for _, o in tables]
-    if all(o is None for o in ones):
-        return np.array([t for t, _ in tables]), None
-    return (np.array([t for t, _ in tables]),
-            np.array([np.zeros(t.shape, bool) if o is None else o for t, o in tables]))
+    t = np.array([t for t, _ in tables])
+    if all(o is None for _, o in tables):
+        return t, None
+    return t, np.array([np.zeros(t.shape[1], bool) if o is None else o for _, o in tables])
 
 
 def sense(
