@@ -51,7 +51,7 @@ def _add_subset_args(p: argparse.ArgumentParser) -> None:
 def _build_subset(args) -> protocol.PadSubset:
     if args.p_target is not None and args.eta is None:
         raise ValueError("--p-target needs --eta")
-    simulate.check_seed(args.seed)
+    simulate.check_integer("seed", args.seed, 0)
     return protocol.make_subset(args.channels, np.random.default_rng(args.seed), pairs=args.pairs,
                                 phi=args.phi, p_target=args.p_target, eta=args.eta,
                                 omega=args.omega)

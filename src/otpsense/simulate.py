@@ -16,10 +16,9 @@ plaintext from one sum of the round's reports.  The engine then applies one
 threshold to every honest user.  A chunk holds at most ROUND_CHUNK cells
 (see `_round_cells`), so memory does not grow with the horizon.
 `run_simulation` runs the horizon chunk by chunk and aggregates metrics;
-`run_experiment` sweeps one or two scenario parameters, each sweep point on
-an independent random stream derived from (seed, point index), on the
-calling process and, where `os.fork` exists, forked workers that claim
-points one at a time.
+`run_experiment` sweeps one or two scenario parameters, every sweep point
+on the scenario's own seed, on the calling process and, where `os.fork`
+exists, forked workers that claim points one at a time.
 
 Randomness is split into named streams (channel evolution, sensing, pad
 draws, vote tie-breaks, the subset, and per attacker one stream for each
@@ -31,13 +30,14 @@ slot drawn from whole 64-bit outputs.  One sensing stream serves the
 whole population, drawn in (slot, user, channel) order, and every user
 draws a full row whatever its role.  So runs with the protocol enabled and
 disabled see identical channel truth and detector noise, and so do the
-scenarios `apply_sweep` makes for the points of a `selfish` sweep, run on
-one seed; `run_experiment` gives each point a seed of its own.  Results
-never depend on worker scheduling.  A user's noise does depend on the
-population size N, so populations of different sizes do not share random
-numbers user by user.  Each stream is consumed by one kind of call only,
-and a chunk's draw of T rounds takes the same random numbers as T
-one-round draws, so results do not depend on the chunk length either.
+points of an experiment with equal channel models and population sizes
+(every point of a `selfish`, `pairs` or `phi` sweep); a `rounds` point is
+the first rounds of a longer one.  Results never depend on worker
+scheduling.  A user's noise does depend on the population size N, so
+populations of different sizes do not share random numbers user by user.
+Each stream is consumed by one kind of call only, and a chunk's draw of T
+rounds takes the same random numbers as T one-round draws, so results do
+not depend on the chunk length either.
 """
 
 from __future__ import annotations
@@ -57,6 +57,17 @@ from . import adversary, fusion, protocol, spectrum
 
 ROLES = ("honest", "ees", "pes", "history")
 SWEEPABLE = ("channels", "pairs", "phi", "selfish", "rounds", "slot_period")
+
+
+def check_integer(name: str, value, low: int | None = None) -> int:
+    """`value` as a Python int; raise ValueError, naming it, unless it is an
+    int or numpy integer (not a bool) of at least `low`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or (
+            low is not None and value < low):
+        kind = ("an integer" if low is None else "a non-negative integer" if low == 0
+                else f"an integer >= {low}")
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    return int(value)
 
 
 def _plain_rates(rates, name: str):
@@ -90,8 +101,8 @@ class UserSpec:
     def __post_init__(self):
         if self.role not in ROLES:
             raise ValueError(f"unknown role {self.role!r}, expected one of {ROLES}")
-        if self.sensed_channels < 0:
-            raise ValueError("sensed_channels must be >= 0")
+        object.__setattr__(self, "sensed_channels",
+                           check_integer("sensed_channels", self.sensed_channels, 0))
         for name in ("false_alarm", "miss"):
             object.__setattr__(self, name, _plain_rates(getattr(self, name), name))
 
@@ -105,7 +116,7 @@ class Scenario:
     length, scaled by omega) > pairs (that many independent complement
     pairs; one pair is one block).  encrypted=False bypasses pads entirely
     and shares raw reports (the plaintext baseline).  rate_on/rate_off are
-    stored as `_plain_rates` gives them.
+    stored as `_plain_rates` gives them, and integer fields as Python ints.
     """
 
     num_channels: int = 100
@@ -135,11 +146,12 @@ class Scenario:
             raise ValueError("scenario needs at least one user")
         if not any(u.role == "honest" for u in self.users):
             raise ValueError("scenario needs at least one honest user")
-        check_seed(self.seed)
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
-        if self.num_channels < 1:
-            raise ValueError("num_channels must be >= 1")
+        for name, low in (("seed", 0), ("rounds", 1), ("num_channels", 1)):
+            object.__setattr__(self, name, check_integer(name, getattr(self, name), low))
+        # optional; pairs and phi are range-checked as the subset is built
+        for name in ("pairs", "phi", "fusion_threshold"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, check_integer(name, getattr(self, name)))
         if not 1 <= self.omega < np.inf:
             raise ValueError(f"omega must lie in [1, inf), got {self.omega}")
         if self.p_target is not None and not 0 < self.p_target < 1:
@@ -162,12 +174,6 @@ class Scenario:
         for u in self.users:
             if u.role == "pes" and not 0 <= u.sensed_channels <= self.num_channels:
                 raise ValueError("pes sensed_channels must lie in [0, num_channels]")
-
-
-def check_seed(seed) -> None:
-    """Raise ValueError, naming the seed, unless it is a non-negative integer."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def channel_model(sc: Scenario) -> spectrum.ChannelModel:
@@ -319,11 +325,6 @@ class _Streams:
     subset: np.random.Generator
     sensing: np.random.Generator
     attack: dict[tuple[int, str], np.random.Generator]  # by (user, kind)
-
-
-def _subset_stream(seed: int) -> np.random.Generator:
-    """The subset stream of `_spawn_streams(seed, ...)`, made on its own."""
-    return _seeding()[1](_stream_words(seed, SUBSET + 1)[SUBSET])
 
 
 def _spawn_streams(seed: int, users: tuple[UserSpec, ...]) -> _Streams:
@@ -706,10 +707,6 @@ def apply_sweep(sc: Scenario, assignment: dict) -> Scenario:
     """
     out = sc
     for name, value in assignment.items():
-        if name in ("channels", "pairs", "phi", "rounds", "selfish"):
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"sweep parameter {name!r} takes integers, got {value!r}")
-            value = int(value)
         if name == "channels":
             out = replace(out, num_channels=value)
         elif name == "pairs":
@@ -721,6 +718,7 @@ def apply_sweep(sc: Scenario, assignment: dict) -> Scenario:
         elif name == "slot_period":
             out = replace(out, slot_period=float(value))
         elif name == "selfish":
+            value = check_integer("selfish", value)
             if not 0 <= value < len(out.users):
                 raise ValueError(f"selfish count must lie in [0, {len(out.users) - 1}], leaving "
                                  f"an honest user, got {value}")
@@ -733,10 +731,6 @@ def apply_sweep(sc: Scenario, assignment: dict) -> Scenario:
         else:
             raise ValueError(f"unknown sweep parameter {name!r}, expected one of {SWEEPABLE}")
     return out
-
-
-def _point_seed(master_seed: int, index: int) -> int:
-    return int(np.random.SeedSequence([master_seed, index]).generate_state(1)[0])
 
 
 def _run_point(args) -> dict:
@@ -868,8 +862,11 @@ def run_experiment(
 ) -> list[dict]:
     """Cross-product sweep over one or two parameters.
 
-    Every point runs `run_simulation` on a seed derived from (scenario seed,
-    point index), so results are reproducible and independent of `workers`.
+    Every point runs `run_simulation` on the scenario's own seed.  So
+    points with equal channel models and population sizes, such as every
+    point of a `selfish`, `pairs` or `phi` sweep, see one channel truth and
+    one sensing draw, and a `rounds` point runs the first rounds of a
+    longer one.  Results are reproducible and independent of `workers`.
     `workers` (at least 1) counts processes, the caller included: past one
     point, `min(workers, points) - 1` workers are forked and every process
     claims one point at a time until none are left.  Where `os.fork` does
@@ -889,23 +886,19 @@ def run_experiment(
             raise ValueError(f"unknown sweep parameter {name!r}, expected one of {SWEEPABLE}")
         if not values:
             raise ValueError(f"sweep parameter {name!r} has no values")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    workers = check_integer("workers", workers, 1)
 
     assignments = [{names[0]: v} for v in sweep[0][1]]
     if len(sweep) == 2:
         assignments = [dict(a, **{names[1]: v}) for a in assignments for v in sweep[1][1]]
-    tasks = [
-        (replace(apply_sweep(sc, a), seed=_point_seed(sc.seed, i)), {**a, "point": i})
-        for i, a in enumerate(assignments)
-    ]
+    tasks = [(apply_sweep(sc, a), {**a, "point": i}) for i, a in enumerate(assignments)]
 
     for point, _ in tasks:
         # what run_simulation builds before round 1, on a throwaway copy of its subset stream
         channel_model(point)
         detector_profiles(point)
         if point.encrypted:
-            build_subset(point, _subset_stream(point.seed))
+            build_subset(point, _spawn_streams(point.seed, point.users).subset)
 
     workers = min(workers, len(tasks))
     if workers > 1 and hasattr(os, "fork"):

@@ -56,7 +56,7 @@ def test_a_traced_attacker_run_stays_json_and_calls_each_attacker_once_per_chunk
     users = (UserSpec(),) * 3 + (UserSpec(role="pes", sensed_channels=8), UserSpec(role="ees"),
                                  UserSpec(role="history"))
     sc = Scenario(num_channels=20, users=users, pairs=None, phi=5, rounds=10, seed=3)
-    subset = simulate.build_subset(sc, simulate._subset_stream(sc.seed))
+    subset = simulate.build_subset(sc, simulate._spawn_streams(sc.seed, sc.users).subset)
     monkeypatch.setattr(simulate, "ROUND_CHUNK", 3 * simulate._round_cells(sc, subset))
     with tracing.Tracer() as tracer:
         summary = tracer.op(0, simulate.run_simulation, sc)

@@ -125,11 +125,13 @@ def test_digests_hold_with_reduceat_block_margins(name, monkeypatch):
 # holds with one pair as the one-block subset.  Re-recorded, c1f2c505 ->
 # a82f5139, with the digests above, when streams came to be seeded from one
 # hash of the seed and Bernoulli bits to be drawn against uint32 thresholds.
+# Re-recorded, a82f5139 -> 6dce60b4, when every point came to run on the
+# scenario's own seed in place of a seed derived from (seed, point index).
 EXPERIMENT = {
     "num_channels": 100, "users": [{"role": "honest"}] * 6, "rounds": 20, "seed": 3,
     "sweep": [{"param": "pairs", "values": [1, 2, 4]}, {"param": "selfish", "values": [0, 2]}],
 }
-EXPERIMENT_DIGEST = "a82f5139122b8d701d41ab9d1b0f7a029611f5a0ad781c6450cd521cc426b55e"
+EXPERIMENT_DIGEST = "6dce60b4629b9aaafd0e982a1358d49e85f1a2d543951c4c449403b5c470d284"
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

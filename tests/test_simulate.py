@@ -85,6 +85,19 @@ def test_scenario_validation():
         UserSpec(role="freeloader")
     with pytest.raises(ValueError):
         UserSpec(sensed_channels=-1)
+    # integer fields take ints and numpy integers, not bools or floats, and
+    # store them as Python ints
+    for field, bad in (("phi", 3.5), ("fusion_threshold", 2.5), ("rounds", True),
+                       ("num_channels", 2.5), ("rounds", 2.5), ("pairs", 2.5), ("pairs", True)):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            small_scenario(**{field: bad})
+    with pytest.raises(ValueError, match="sensed_channels must be"):
+        UserSpec(role="pes", sensed_channels=2.5)
+    sc = small_scenario(num_channels=np.int64(12), rounds=np.int32(4), pairs=None,
+                        phi=np.uint8(3), fusion_threshold=np.int64(2), seed=np.int64(5))
+    for field in ("num_channels", "rounds", "phi", "fusion_threshold", "seed"):
+        assert type(getattr(sc, field)) is int, field
+    assert type(UserSpec(sensed_channels=np.int64(2)).sensed_channels) is int
 
 
 def test_a_bad_seed_is_named_before_any_work():
@@ -303,7 +316,7 @@ def test_every_built_subset_masks_every_channel(m, construction, pairs, phi, p_t
               "phi": dict(pairs=None, phi=min(phi, m)),
               "p_target": dict(pairs=None, p_target=p_target)}[construction]
     sc = Scenario(num_channels=m, omega=omega, seed=seed, **subset)
-    built = build_subset(sc, simulate._subset_stream(seed))
+    built = build_subset(sc, _spawn_streams(seed, sc.users).subset)
     assert built.xi.dtype == float and (built.xi == 0.5).all()
 
 
@@ -408,7 +421,7 @@ def test_run_experiment_validation():
         run_experiment(sc, [("bandwidth", [1])])
     with pytest.raises(ValueError):
         run_experiment(sc, [("pairs", [])])
-    for workers in (0, -3):
+    for workers in (0, -3, 1.5, True):
         with pytest.raises(ValueError, match="workers"):
             run_experiment(sc, [("pairs", [1])], workers=workers)
 
@@ -619,10 +632,49 @@ def test_importing_the_package_leaves_the_process_pool_unloaded(tmp_path):
     assert out.stdout.split("\n") == ["False", "[]", ""]
 
 
-def test_point_seeds_differ_across_points():
-    sc = small_scenario(rounds=4)
-    rows = run_experiment(sc, [("rounds", [4, 4])])
-    assert rows[0]["seed"] != rows[1]["seed"]
+@pytest.mark.parametrize("workers", [1, 2])
+def test_every_point_runs_on_the_scenarios_own_seed(workers):
+    sc = small_scenario(rounds=6, users=(UserSpec(),) * 4)
+    sweep = [("selfish", [0, 2]), ("pairs", [1, 2, 4])]
+    assignments = [{"selfish": s, "pairs": p} for s in (0, 2) for p in (1, 2, 4)]
+    assert run_experiment(sc, sweep, workers=workers) == [
+        {**a, "point": i, **run_simulation(apply_sweep(sc, a)).row()}
+        for i, a in enumerate(assignments)
+    ]
+
+
+def recorded_chunks(monkeypatch, sc, sweep) -> list:
+    """What the round engine returned, chunk by chunk, over a one-worker experiment."""
+    chunks, engine = [], simulate._run_rounds
+
+    def recording(*args):
+        chunks.append(engine(*args))
+        return chunks[-1]
+
+    monkeypatch.setattr(simulate, "_run_rounds", recording)
+    run_experiment(sc, sweep)
+    return chunks
+
+
+def test_selfish_points_share_truth_and_the_honest_users_reports(monkeypatch):
+    sc = small_scenario(rounds=20, users=(UserSpec(),) * 4, pairs=None, phi=4)
+    points = recorded_chunks(monkeypatch, sc, [("selfish", [0, 1, 2])])
+    assert len(points) == 3
+    for out in points[1:]:
+        assert np.array_equal(out.truth, points[0].truth)
+        # users 0 and 1 stay honest at every point
+        assert np.array_equal(out.reports[:, :2], points[0].reports[:, :2])
+    # the ees users' rows differ from the honest reports they replace
+    assert not np.array_equal(points[2].reports[:, 2:], points[0].reports[:, 2:])
+
+
+def test_a_shorter_rounds_point_is_the_first_rounds_of_a_longer_one(monkeypatch):
+    users = (UserSpec(),) * 3 + (UserSpec(role="ees"),)
+    sc = small_scenario(users=users, pairs=None, phi=4)
+    short, long = recorded_chunks(monkeypatch, sc, [("rounds", [30, 50])])
+    assert (len(short.truth), len(long.truth)) == (30, 50)
+    for field in ("truth", "reports", "ciphertexts", "pads", "recovery_success", "decisions"):
+        assert same(getattr(short, field), getattr(long, field)[:30]), field
 
 
 # ---- config serialization ----------------------------------------------
@@ -1023,7 +1075,7 @@ def test_one_chunk_and_single_rounds_match_reference_rounds(name):
 
 def round_cells(sc):
     """`simulate._round_cells` on the subset `run_simulation` builds for sc."""
-    subset = simulate.build_subset(sc, simulate._subset_stream(sc.seed)) if sc.encrypted else None
+    subset = build_subset(sc, _spawn_streams(sc.seed, sc.users).subset) if sc.encrypted else None
     return simulate._round_cells(sc, subset)
 
 
@@ -1072,16 +1124,6 @@ def test_a_p_target_run_sizes_its_blocks_once(monkeypatch):
     assert len(sizings) == 1
 
 
-def test_subset_stream_is_the_spawned_subset_stream():
-    # stream 3 of the seed's hashed words, whatever the population
-    for seed in (0, 7, 2 ** 40):
-        words = np.random.SeedSequence(seed).generate_state(16, np.uint64)
-        want = oracles.pcg64_from_words(words[12:16]).state
-        for users in ((HONEST,), (HONEST,) * 3 + (UserSpec(role="ees"),) * 3):
-            assert simulate._subset_stream(seed).bit_generator.state == want
-            assert _spawn_streams(seed, users).subset.bit_generator.state == want
-
-
 def test_spawned_streams_do_not_depend_on_the_population_size():
     def states(streams):
         return [getattr(streams, name).bit_generator.state
@@ -1092,6 +1134,7 @@ def test_spawned_streams_do_not_depend_on_the_population_size():
         assert states(five) == states(twenty)
         assert five.attack == twenty.attack == {}
         words = np.random.SeedSequence(seed).generate_state(20, np.uint64)
+        assert five.subset.bit_generator.state == oracles.pcg64_from_words(words[12:16]).state
         assert five.sensing.bit_generator.state == oracles.pcg64_from_words(words[16:20]).state
 
 
